@@ -83,7 +83,7 @@ def failure_figure_data(
 ) -> dict[str, Any]:
     """All per-case series for an ``n_failures``-failure figure.
 
-    Pass precomputed ``results`` (e.g. shared across figures by the
+    Pass already computed ``results`` (e.g. shared across figures by the
     benchmark harness) to skip re-running the sweep.  Fresh sweeps fan
     out over a process pool by default (results are bit-identical to
     the serial runner; small heuristic-only sweeps stay serial via the

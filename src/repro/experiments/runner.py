@@ -145,7 +145,9 @@ def run_failure_sweep_parallel(
     """:func:`run_failure_sweep` fanned over a process pool.
 
     The coefficient table is materialized once in the parent and shared
-    with every worker, scenarios × algorithms run concurrently, and
+    with every worker of a :class:`~repro.perf.executor.SweepExecutor`
+    (a short-lived one, closed before returning, unless ``executor`` is
+    given), scenarios × algorithms run concurrently, and
     results merge deterministically in scenario order — output is
     identical to the serial sweep apart from ``solve_time_s`` wall
     clocks.  ``max_workers=None`` uses all CPUs; ``max_workers=1``, an
@@ -158,13 +160,13 @@ def run_failure_sweep_parallel(
     ``ladder``, ``validate``, ``checkpoint_path`` and
     ``checkpoint_every`` enable the resilience layer; see
     :func:`repro.perf.sweep.parallel_sweep` and ``docs/robustness.md``.
-    ``transport`` selects how the plan reaches workers (``"auto"`` /
+    ``transport`` selects how the context reaches workers (``"auto"`` /
     ``"shm"`` / ``"pickle"``) and ``incremental`` chains scenarios by
     failure-set similarity — both pure execution strategies with
     bit-identical results; see ``docs/performance.md``.  ``executor``
-    submits to a warm :class:`~repro.perf.executor.SweepExecutor`
-    instead of spawning a fresh pool — the right choice when several
-    sweeps run back to back over one context.  ``supervisor`` threads a
+    submits to a caller-owned warm executor whose workers outlive the
+    sweep — the right choice when several sweeps run back to back over
+    one context.  ``supervisor`` threads a
     :class:`~repro.resilience.supervisor.SweepSupervisor` through the
     warm route (deadlines, quarantine, circuit breakers); see
     ``docs/robustness.md``.  ``store`` memoizes solves across runs and

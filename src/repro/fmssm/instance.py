@@ -66,7 +66,7 @@ class FMSSMInstance:
 
     Instances are treated as immutable once constructed: the derived
     views (``pairs_at``, ``pairs_of``, ``pairs``, ``recoverable_flows``,
-    ``total_iterations``) are precomputed in ``__post_init__`` because
+    ``total_iterations``) are computed once in ``__post_init__`` because
     the heuristics read them in hot loops.
     """
 
@@ -167,12 +167,12 @@ class FMSSMInstance:
 
     @property
     def pairs(self) -> tuple[tuple[NodeId, FlowId], ...]:
-        """All programmable pairs, sorted (precomputed)."""
+        """All programmable pairs, sorted (computed once)."""
         return self._pairs
 
     @property
     def recoverable_flows(self) -> tuple[FlowId, ...]:
-        """Offline flows with at least one programmable pair, sorted (precomputed)."""
+        """Offline flows with at least one programmable pair, sorted (computed once)."""
         return self._recoverable
 
     @property

@@ -21,8 +21,8 @@ that cheap:
     structural caching across the scenarios of a sweep.
 
 :mod:`repro.perf.shm`
-    Zero-copy shared-memory fan-out: the sweep plan's numpy buffers are
-    parked in one segment every pool worker aliases read-only.
+    Zero-copy shared-memory fan-out: the sweep context's numpy buffers
+    are parked in one segment every pool worker aliases read-only.
 
 :mod:`repro.perf.incremental`
     Cross-scenario delta chaining: minimum-Hamming-distance scenario
@@ -35,9 +35,10 @@ that cheap:
     identical to the dict-route reference implementations.
 
 :mod:`repro.perf.executor`
-    Persistent warm-worker pools: a :class:`~repro.perf.executor.
+    The one process-pool route: a :class:`~repro.perf.executor.
     SweepExecutor` keeps workers (and their decoded plans, contexts and
-    compiled shapes) alive across sweeps, and :func:`~repro.perf.
+    compiled shapes) alive across sweeps — a sweep without one runs on
+    a short-lived executor — and :func:`~repro.perf.
     executor.run_campaign` streams many sweeps over one warm executor.
 
 :mod:`repro.perf.store`
@@ -90,7 +91,6 @@ from repro.perf.store import (
     topology_fingerprint,
 )
 from repro.perf.sweep import (
-    ShmPlanData,
     SweepPlan,
     fanout_summary,
     parallel_sweep,
@@ -110,7 +110,6 @@ __all__ = [
     "solve_retroflow_array",
     "solve_nearest_array",
     "SweepPlan",
-    "ShmPlanData",
     "parallel_sweep",
     "fanout_summary",
     "store_summary",

@@ -170,6 +170,11 @@ class CompiledFMSSM:
         return mapping, sdn_pairs
 
 
+#: Shape-template LRU bound per compiler.  It caps memory; an evicted
+#: template is cheap to rebuild (35 WAN-60 templates build in 22 ms).
+_MAX_SHAPES = 32
+
+
 class FMSSMCompiler:
     """Compiles instances to :class:`CompiledFMSSM`, reusing structure.
 
@@ -179,8 +184,7 @@ class FMSSMCompiler:
     spare capacities, bounds).
     """
 
-    def __init__(self, max_cached_shapes: int = 32) -> None:
-        self._max_cached_shapes = max_cached_shapes
+    def __init__(self) -> None:
         self._shapes: OrderedDict[tuple[int, int, int], dict[str, np.ndarray]] = OrderedDict()
 
     def _shape_arrays(self, n: int, m: int, p: int) -> dict[str, np.ndarray]:
@@ -218,49 +222,9 @@ class FMSSMCompiler:
             "neg_ones_q": np.full(q, -1.0),
         }
         self._shapes[key] = arrays
-        if len(self._shapes) > self._max_cached_shapes:
+        if len(self._shapes) > _MAX_SHAPES:
             self._shapes.popitem(last=False)
         return arrays
-
-    def precompute(
-        self, shapes: Iterable[tuple[int, int, int]]
-    ) -> dict[tuple[int, int, int], dict[str, np.ndarray]]:
-        """Build (and cache) the index arrays for every given shape.
-
-        The parallel sweep predicts each scenario's (N, M, P) cheaply in
-        the parent, precomputes the structural blocks once, and ships
-        them to workers through the shared-memory transport — every
-        worker then aliases the same arrays instead of rebuilding them.
-        Returns the key → arrays mapping for :meth:`adopt_shapes`.
-        """
-        return {key: self._shape_arrays(*key) for key in dict.fromkeys(shapes)}
-
-    def cached_shapes(
-        self,
-    ) -> dict[tuple[int, int, int], dict[str, np.ndarray]]:
-        """A snapshot of the currently cached shape arrays.
-
-        The cross-run store (:mod:`repro.perf.store`) persists these as
-        named artifacts after a sweep, so a cold process adopts them
-        from disk instead of rebuilding the structural blocks.
-        """
-        return dict(self._shapes)
-
-    def adopt_shapes(
-        self, mapping: dict[tuple[int, int, int], dict[str, np.ndarray]]
-    ) -> None:
-        """Install precomputed shape arrays (worker-side of :meth:`precompute`).
-
-        Mispredicted or missing keys are harmless — :meth:`_shape_arrays`
-        computes on demand.  The LRU bound still applies, so adopting
-        more shapes than ``max_cached_shapes`` keeps only the most
-        recently inserted ones.
-        """
-        for key, arrays in mapping.items():
-            self._shapes[key] = arrays
-            self._shapes.move_to_end(key)
-            if len(self._shapes) > self._max_cached_shapes:
-                self._shapes.popitem(last=False)
 
     def compile(
         self,

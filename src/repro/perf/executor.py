@@ -1,12 +1,12 @@
-"""Persistent warm-worker sweep executor with cross-sweep artifact caching.
+"""The process-pool executor every parallel sweep runs on.
 
-Every :func:`~repro.perf.sweep.parallel_sweep` call historically paid
-the full fan-out bill — spawn a :class:`~concurrent.futures.
-ProcessPoolExecutor`, ship the plan, have every worker decode it — even
-though figure generation, successive-failure runs and the ablation
-drivers issue many sweeps over the *same* topology back to back.  On
-the bench that bill is ~1.6 s per sweep against a ~0.02 s pure-solve
-floor.  This module amortizes it:
+:func:`~repro.perf.sweep.parallel_sweep` fans work out over exactly one
+kind of pool: a :class:`SweepExecutor`.  A caller that passes
+``executor=`` keeps its workers warm across many sweeps; a caller that
+does not gets a short-lived executor that is opened for the one sweep
+and closed (workers joined) before the sweep returns.  Both run the
+same submission code, so they differ only in what the second sweep
+finds already cached.
 
 :class:`SweepExecutor`
     A context-manager that keeps one process pool alive across sweeps
@@ -17,15 +17,15 @@ floor.  This module amortizes it:
     nothing but a small per-sweep header.
 
 Worker-side caches
-    Warm tasks carry a :class:`WarmHeader` naming the sweep's plan key
+    Tasks carry a :class:`WarmHeader` naming the sweep's plan key
     (checkpoint fingerprint + executor generation).  A worker that has
     seen the key before skips decoding entirely; otherwise it rebuilds
     the plan from two LRU-cached layers — the heavy context (decoded
     once per *generation*, then shared by every sweep over that
     context, together with all the instances, ``InstanceArrays`` and
     hop-distance state the context caches) and the light per-sweep
-    parameters.  Compiled ``(N, M, P)`` sparse templates ride the
-    header once and land in the worker's process-wide
+    parameters.  Compiled ``(N, M, P)`` sparse templates are built on
+    demand by the worker's process-wide
     :func:`~repro.perf.compile.default_compiler`, which persists across
     sweeps by construction.
 
@@ -69,7 +69,7 @@ import time
 from collections import OrderedDict
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.perf.shm import (
     SegmentLease,
@@ -144,7 +144,6 @@ class _SweepParams:
     ladder: object
     validate: bool
     chaos_plan: object
-    shapes: dict = field(default_factory=dict)
     lp_batch: "int | None" = None
 
 
@@ -159,13 +158,12 @@ class SweepExecutor:
 
     The second sweep reuses the warm workers, the parent-side encoded
     context, and the workers' decoded plan — its cost approaches the
-    pure solve time.  Results are bit-identical to fresh-pool and serial
-    sweeps (the equivalence tests assert it).
+    pure solve time.  Results are bit-identical to serial sweeps (the
+    equivalence tests assert it).
 
     A sweep that breaks the pool mid-flight keeps its completed results
-    and finishes serially, exactly like the fresh-pool route; the
-    executor marks itself broken and the *next* sweep respawns the pool
-    transparently.
+    and finishes serially; the executor marks itself broken and the
+    *next* sweep respawns the pool transparently.
     """
 
     _ids = itertools.count(1)
@@ -330,7 +328,7 @@ class SweepExecutor:
                 data = _slim_context(context)
             except Exception:
                 # Duck-typed contexts without an array form take the
-                # raw-pickle route below, like the cold pickle transport.
+                # raw-pickle route below.
                 data = None
             if data is not None:
                 payload, lease = dumps_shared(data)
@@ -366,23 +364,53 @@ class SweepExecutor:
         return key
 
 
-def _slim_context(context: object):
-    """``context`` stripped to its array form (no programmability model).
+@dataclass
+class _SlimContext:
+    """A context stripped to its array form — the shm-route payload.
 
-    Reuses :class:`~repro.perf.sweep.ShmPlanData` with an empty scenario
-    list — its ``rebuild_context`` does exactly the reconstruction warm
-    workers need, and its numpy buffers are what the shm segment parks.
+    The programmability model (hundreds of kilobytes of path-count
+    state the workers never consult once the table is materialized) is
+    dropped, and the coefficient table plus flow population travel as
+    dense :class:`~repro.perf.coefficients.CoefficientArrays` whose
+    buffers pickle protocol 5 diverts into the shared segment.
     """
+
+    topology: object
+    plane: object
+    delay_model: object
+    arrays: object  # CoefficientArrays
+
+    def rebuild_context(self) -> object:
+        """Reconstruct an :class:`ExperimentContext` around the arrays.
+
+        The rebuilt context has its coefficient table pre-materialized
+        (so instance grounding never consults the programmability model,
+        which is absent) and draws its flow population from the table —
+        the same objects, in the same order, as the parent's context.
+        """
+        from repro.experiments.scenarios import ExperimentContext
+
+        table = self.arrays.to_table()
+        return ExperimentContext(
+            topology=self.topology,
+            flows=list(table.flows),
+            plane=self.plane,
+            programmability=None,  # type: ignore[arg-type] - never consulted
+            delay_model=self.delay_model,
+            _table=table,
+        )
+
+
+def _slim_context(context: object) -> _SlimContext:
+    """``context`` stripped to its array form (no programmability model)."""
     from repro.perf.coefficients import CoefficientArrays
-    from repro.perf.sweep import ShmPlanData
 
     table = context.materialize_table()
-    return ShmPlanData(
+    return _SlimContext(
         topology=context.topology,
         plane=context.plane,
         delay_model=context.delay_model,
         arrays=CoefficientArrays.from_table(table),
-        scenarios=(),
     )
 
 
@@ -400,8 +428,9 @@ _MAX_CONTEXTS = 4
 _PLANS: OrderedDict[str, object] = OrderedDict()
 _MAX_PLANS = 8
 
-#: Plan key whose chaos plan is currently installed (or None).
-_CHAOS_KEY: list[str | None] = [None]
+#: The chaos slot: the plan key whose chaos state is current (or None)
+#: and whether that sweep installed a chaos plan.
+_CHAOS_SLOT: list = [None, False]
 
 #: Lifetime eviction counts of this worker's layered caches — the
 #: telemetry that tells a campaign its working set outgrew the LRUs
@@ -425,22 +454,31 @@ def _sync_chaos(plan_key: str, chaos_plan) -> None:
     the incoming sweep's plan.  The single-slot key is sticky across a
     failed decode: a requeued task under the same plan key keeps its
     counters, exactly like a retried call in one process should.
+    Replacing a slot that held a chaos plan counts as a ``chaos_nonce``
+    eviction (its fault counters are gone); chaos-free sweeps evict
+    nothing.
     """
-    if _CHAOS_KEY[0] == plan_key:
+    if _CHAOS_SLOT[0] == plan_key:
         return
-    if _CHAOS_KEY[0] is not None:
+    if _CHAOS_SLOT[1]:
         _EVICTIONS["chaos_nonce"] += 1
     if chaos_plan is not None:
         chaos.install(chaos_plan)
     else:
         chaos.uninstall()
-    _CHAOS_KEY[0] = plan_key
+    _CHAOS_SLOT[:] = [plan_key, chaos_plan is not None]
 
 
 def _warm_plan(header: WarmHeader):
-    """The worker's plan for ``header``, decoding as little as possible."""
+    """The worker's plan for ``header``, decoding as little as possible.
+
+    Returns ``(plan, init_s)``: ``init_s`` is the time this call spent
+    decoding the context payload — zero on every call that found the
+    context (or the whole plan) already cached.
+    """
     from repro.perf.sweep import SweepPlan
 
+    init_s = 0.0
     plan = _PLANS.get(header.plan_key)
     if plan is None:
         # The light per-sweep blob decodes first so the sweep's chaos
@@ -451,9 +489,11 @@ def _warm_plan(header: WarmHeader):
         context = _CONTEXTS.get(header.context_key)
         if context is None:
             chaos.check("executor.decode_context")
+            start = time.perf_counter()
             decoded = loads_shared(header.context_payload)
             rebuild = getattr(decoded, "rebuild_context", None)
             context = rebuild() if rebuild is not None else decoded
+            init_s = time.perf_counter() - start
             _CONTEXTS[header.context_key] = context
             while len(_CONTEXTS) > _MAX_CONTEXTS:
                 _CONTEXTS.popitem(last=False)
@@ -471,10 +511,6 @@ def _warm_plan(header: WarmHeader):
             params.chaos_plan,
             lp_batch=params.lp_batch,
         )
-        if params.shapes:
-            from repro.perf.compile import default_compiler
-
-            default_compiler().adopt_shapes(params.shapes)
         _PLANS[header.plan_key] = plan
         while len(_PLANS) > _MAX_PLANS:
             _PLANS.popitem(last=False)
@@ -482,47 +518,22 @@ def _warm_plan(header: WarmHeader):
     else:
         _PLANS.move_to_end(header.plan_key)
         _sync_chaos(header.plan_key, plan.chaos_plan)
-    return plan
+    return plan, init_s
 
 
-def _warm_run_task(header: WarmHeader, task: tuple[int, str]):
-    """Warm-pool twin of :func:`repro.perf.sweep._run_task`."""
-    from repro.perf.sweep import _task_rows
+def _warm_run(header: WarmHeader, rows, payload) -> list[tuple]:
+    """Worker body of every pool submission.
 
-    return _task_rows(_warm_plan(header), task) + (worker_cache_stats(),)
-
-
-def _warm_run_chunk(header: WarmHeader, tasks: Sequence[tuple[int, str]]):
-    """Several tasks under one header decode (heuristic-only sweeps)."""
-    from repro.perf.sweep import _task_rows
-
-    plan = _warm_plan(header)
-    rows = [_task_rows(plan, task) for task in tasks]
-    stats = worker_cache_stats()
-    return [row + (stats,) for row in rows]
-
-
-def _warm_run_batch(header: WarmHeader, tasks: Sequence[tuple[int, str]]):
-    """Warm-pool twin of :func:`repro.perf.sweep._run_batch_chunk`.
-
-    The worker accumulates its chunk's compiled ``optimal`` forms into
-    block-diagonal LP batches (flushing at the plan's ``lp_batch`` size
-    and at the chunk boundary) before calling HiGHS.
+    Resolves the sweep's plan from ``header`` and drains the row
+    producer ``rows(plan, payload)`` (one of the row generators of
+    :mod:`repro.perf.sweep`).  Each row gains the context-decode time
+    this call paid and the worker's cache telemetry
+    (:func:`worker_cache_stats`).
     """
-    from repro.perf.sweep import _batched_rows
-
-    rows = _batched_rows(_warm_plan(header), tasks)
+    plan, init_s = _warm_plan(header)
+    out = list(rows(plan, payload))
     stats = worker_cache_stats()
-    return [row + (stats,) for row in rows]
-
-
-def _warm_run_chain(header: WarmHeader, segment):
-    """Warm-pool twin of :func:`repro.perf.sweep._run_chain_task`."""
-    from repro.perf.sweep import _chain_rows
-
-    rows = _chain_rows(_warm_plan(header), segment)
-    stats = worker_cache_stats()
-    return [row + (stats,) for row in rows]
+    return [row + (init_s, stats) for row in out]
 
 
 # ----------------------------------------------------------------------

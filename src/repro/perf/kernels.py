@@ -731,7 +731,7 @@ def solve_retroflow_array(instance: FMSSMInstance) -> RecoverySolution:
 
     Switch values come from one weighted bincount, the processing order
     from one stable argsort, and the per-switch controller scan walks a
-    precomputed ``delay_order`` row — O(N·M) Python steps total instead
+    cached ``delay_order`` row — O(N·M) Python steps total instead
     of N sorts over M controllers.
     """
     start = time.perf_counter()

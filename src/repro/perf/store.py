@@ -30,12 +30,12 @@ Sharded, checksummed record store
     the store's size by atomically rewriting shards oldest-first.
 
 Expensive intermediates
-    Besides :class:`ScenarioResult` solutions, the store holds the
-    compiler's sparse P′ structural blocks (:meth:`SolveStore.
-    put_arrays` / :meth:`~SolveStore.get_arrays`, atomic ``.npz``
-    artifacts keyed by (N, M, P)) and per-topology hop-distance tables
-    (JSON records keyed by :func:`topology_fingerprint`), so a cold
-    process skips the BFS and block-assembly work too.
+    Besides :class:`ScenarioResult` solutions, the store holds each
+    solved instance's kernel preparation (:meth:`SolveStore.put_arrays`
+    / :meth:`~SolveStore.get_arrays`, atomic ``.npz`` artifacts keyed by
+    instance fingerprint) and per-topology hop-distance tables (JSON
+    records keyed by :func:`topology_fingerprint`), so a cold process
+    skips the BFS and kernel-preparation work too.
 
 Solutions and their evaluations are stored in *canonical label space*
 and translated back through the probing instance's labels on a hit

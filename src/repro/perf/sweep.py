@@ -1,17 +1,22 @@
-"""Process-pool execution of failure sweeps, with a resilience layer.
+"""Parallel failure sweeps, with a resilience layer.
 
 A sweep is embarrassingly parallel across scenarios × algorithms: every
 task grounds its instance from the same shared data (topology, flows,
 coefficient table) and writes to a disjoint result slot.  This module
-fans those tasks over a :class:`~concurrent.futures.ProcessPoolExecutor`
-and merges results back in deterministic (scenario, algorithm) order, so
-the output is indistinguishable from the serial sweep apart from
-wall-clock time.
+fans those tasks over the process pool of a
+:class:`~repro.perf.executor.SweepExecutor` and merges results back in
+deterministic (scenario, algorithm) order, so the output is
+indistinguishable from the serial sweep apart from wall-clock time.
 
-Workers receive one pickled :class:`SweepPlan` through the pool
-initializer — the context (with its coefficient table materialized by
-the parent, so no worker re-derives a single path count) is shipped once
-per worker, not once per task.
+There is one pool route.  A caller's ``executor=`` keeps its workers
+warm across sweeps; without one, :func:`parallel_sweep` opens a
+short-lived executor for the sweep and closes it (joining its workers)
+before returning.  Either way each submission carries a small
+:class:`~repro.perf.executor.WarmHeader`: workers decode the context
+once per executor generation and the per-sweep parameters once per
+sweep, then run one of this module's row generators
+(:func:`_chunk_rows`, :func:`_chain_rows`, :func:`_batched_rows`) — the
+same generators the serial path runs in-process.
 
 Resilience (all opt-in, zero overhead when unused):
 
@@ -31,14 +36,14 @@ Resilience (all opt-in, zero overhead when unused):
   ``checkpoint_every`` completions; a killed sweep resumes from the last
   checkpoint bit-identically to an uninterrupted run.
 
-Fan-out transports (``transport=``): the classic ``"pickle"`` route
-serializes the whole plan into every worker; the ``"shm"`` route strips
-the plan down to the coefficient arrays plus small scalars, parks the
-array buffers in one :mod:`multiprocessing.shared_memory` segment
-(:mod:`repro.perf.shm`) and ships workers only a few tens of kilobytes
-in band — workers rebuild the context from read-only views aliasing the
-segment.  ``"auto"`` (default) picks shm when the platform and context
-support it and silently degrades otherwise.
+Fan-out transports (``transport=``): the ``"pickle"`` route pickles the
+whole context in band; the ``"shm"`` route strips the context down to
+the coefficient arrays plus small scalars, parks the array buffers in
+one :mod:`multiprocessing.shared_memory` segment (:mod:`repro.perf.shm`)
+and ships workers only a few tens of kilobytes in band — workers
+rebuild the context from read-only views aliasing the segment.
+``"auto"`` (default) picks shm when the platform and context support it
+and silently degrades otherwise.
 
 Incremental chaining (``incremental=True``): scenarios are ordered into
 a minimum-Hamming-distance chain (:mod:`repro.perf.incremental`) and
@@ -59,8 +64,8 @@ import itertools
 import pickle
 import time
 import warnings
-from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections.abc import Iterator, Sequence
+from concurrent.futures import FIRST_COMPLETED, as_completed, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
@@ -77,14 +82,7 @@ from repro.fmssm.optimal import WarmChain, solve_optimal
 from repro.fmssm.solution import RecoverySolution
 from repro.perf.incremental import chain_segments, hamming_chain
 from repro.perf.kernels import prepare_instance
-from repro.perf.shm import (
-    FanoutStats,
-    SegmentLease,
-    SharedPayload,
-    loads_shared,
-    shm_available,
-    timed_dumps_shared,
-)
+from repro.perf.shm import FanoutStats
 from repro.resilience import chaos
 from repro.resilience.checkpoint import (
     SweepCheckpoint,
@@ -110,7 +108,6 @@ from repro.resilience.degradation import (
 
 __all__ = [
     "SweepPlan",
-    "ShmPlanData",
     "parallel_sweep",
     "fanout_summary",
     "store_summary",
@@ -124,9 +121,10 @@ _TRANSPORTS = ("auto", "shm", "pickle")
 class SweepPlan:
     """Everything a worker needs to run any (scenario, algorithm) task.
 
-    The plan is pickled exactly once by the parent and unpickled exactly
-    once per worker; workers then index into it by task.  The active
-    chaos plan (if any) rides along so fault injection reaches worker
+    Workers rebuild the plan from a
+    :class:`~repro.perf.executor.WarmHeader` once per sweep and cache
+    it; row generators then index into it by task.  The active chaos
+    plan (if any) rides along so fault injection reaches worker
     processes.
     """
 
@@ -142,105 +140,16 @@ class SweepPlan:
     lp_batch: int | None = None
 
 
-@dataclass
-class ShmPlanData:
-    """The slim plan shipped over the shared-memory transport.
-
-    Carries everything a worker needs to rebuild a :class:`SweepPlan`
-    *except* the heavyweight pieces of the context: the programmability
-    model (hundreds of kilobytes of path-count state the workers never
-    consult once the table is materialized) is dropped entirely, and the
-    coefficient table plus flow population travel as dense
-    :class:`~repro.perf.coefficients.CoefficientArrays` whose buffers
-    pickle protocol 5 diverts into the shared segment.  ``shapes`` holds
-    the compiler's structural index arrays precomputed by the parent for
-    every predicted (N, M, P) — also shared, so no worker rebuilds them.
-    """
-
-    topology: object
-    plane: object
-    delay_model: object
-    arrays: object  # CoefficientArrays
-    scenarios: tuple[FailureScenario, ...]
-    optimal_time_limit_s: float = 300.0
-    optimal_compile: str = "sparse"
-    ladder: LadderPolicy | None = None
-    validate: bool = False
-    chaos_plan: "chaos.ChaosPlan | None" = field(default=None)
-    shapes: dict[tuple[int, int, int], dict[str, object]] = field(default_factory=dict)
-    lp_batch: int | None = None
-
-    def rebuild_context(self) -> "ExperimentContext":  # noqa: F821
-        """Reconstruct an :class:`ExperimentContext` around the arrays.
-
-        The rebuilt context has its coefficient table pre-materialized
-        (so instance grounding never consults the programmability model,
-        which is absent) and draws its flow population from the table —
-        the same objects, in the same order, as the parent's context.
-        """
-        from repro.experiments.scenarios import ExperimentContext
-
-        table = self.arrays.to_table()
-        return ExperimentContext(
-            topology=self.topology,
-            flows=list(table.flows),
-            plane=self.plane,
-            programmability=None,  # type: ignore[arg-type] - never consulted
-            delay_model=self.delay_model,
-            _table=table,
-        )
-
-
-#: Per-worker state, populated by :func:`_init_worker`.
-_WORKER: dict[str, object] = {}
-
 #: Algorithms whose per-task cost dwarfs pool overhead (exact solves).
 _HEAVY_ALGORITHMS = frozenset({"optimal", "optimal-two-stage", "retroflow-ip"})
 
-#: Below this many heuristic-only tasks, pool startup cannot pay off.
+#: Below this many heuristic-only tasks, a short-lived pool cannot pay
+#: off: it must start its workers and ship the context first.
 _MIN_PARALLEL_TASKS = 64
 
-#: The warm-executor threshold is lower: there is no pool to start and
-#: (usually) no plan to decode, so fan-out pays off much earlier.
+#: A caller's warm executor has a lower threshold: there is no pool to
+#: start and (usually) no context to decode, so fan-out pays off earlier.
 _MIN_PARALLEL_TASKS_WARM = 16
-
-
-def _init_worker(payload: bytes) -> None:
-    """Pool initializer (pickle route): unpickle the plan once per worker."""
-    start = time.perf_counter()
-    plan = pickle.loads(payload)
-    _WORKER["plan"] = plan
-    if plan.chaos_plan is not None:
-        chaos.install(plan.chaos_plan)
-    _WORKER["init_s"] = time.perf_counter() - start
-
-
-def _init_worker_shm(payload: SharedPayload) -> None:
-    """Pool initializer (shm route): attach to the segment, rebuild the plan.
-
-    The big arrays come back as read-only views aliasing the shared
-    segment — no per-worker copy — and the compiler's structural cache
-    is pre-seeded from the parent's precomputed shapes.
-    """
-    start = time.perf_counter()
-    data: ShmPlanData = loads_shared(payload)
-    _WORKER["plan"] = SweepPlan(
-        data.rebuild_context(),
-        data.scenarios,
-        data.optimal_time_limit_s,
-        data.optimal_compile,
-        data.ladder,
-        data.validate,
-        data.chaos_plan,
-        lp_batch=data.lp_batch,
-    )
-    if data.chaos_plan is not None:
-        chaos.install(data.chaos_plan)
-    if data.shapes:
-        from repro.perf.compile import default_compiler
-
-        default_compiler().adopt_shapes(data.shapes)
-    _WORKER["init_s"] = time.perf_counter() - start
 
 
 def _solve(
@@ -283,47 +192,79 @@ def _solve(
 
 
 #: One finished task: (scenario index, algorithm, solution, evaluation,
-#: degradation dict, worker init seconds).  Warm-executor wrappers
-#: append a seventh element — the worker's cache telemetry snapshot
-#: (:func:`repro.perf.executor.worker_cache_stats`).
-_TaskResult = tuple[
-    int, str, RecoverySolution, RecoveryEvaluation, "dict | None", "float | None"
-]
+#: degradation dict).  Pool workers append two elements — the context
+#: decode seconds the task paid and the worker's cache telemetry
+#: snapshot (:func:`repro.perf.executor.worker_cache_stats`).
+_TaskResult = tuple[int, str, RecoverySolution, RecoveryEvaluation, "dict | None"]
 
 
-def _task_rows(plan: SweepPlan, task: tuple[int, str]) -> _TaskResult:
-    """Solve + evaluate one (scenario index, algorithm) task of ``plan``.
+def _grounder(plan: SweepPlan, instance_of=None):
+    """``instance_of``, or plain grounding from ``plan``'s context."""
+    if instance_of is not None:
+        return instance_of
+    return lambda index: plan.context.instance(plan.scenarios[index])
 
-    Shared by the classic initializer-shipped workers (which read the
-    plan from :data:`_WORKER`) and the warm-executor workers (which
-    resolve it from their header caches).
+
+def _scenario_rows(
+    plan: SweepPlan,
+    index: int,
+    instance: FMSSMInstance,
+    algorithms: Sequence[str],
+    warm_chain: WarmChain | None = None,
+    optimal: RecoverySolution | None = None,
+) -> list[_TaskResult]:
+    """Solve ``algorithms`` on one prepared instance, evaluate in one batch.
+
+    Every solve passes the ``sweep.task`` chaos site.  ``warm_chain``
+    threads incremental-chain state through the ``optimal`` solves (see
+    :func:`_solve`); ``optimal`` is an already-solved
+    ``optimal`` answer (from a stacked LP batch) that is taken as is.
     """
-    chaos.check("sweep.task")
-    index, algorithm = task
-    instance = plan.context.instance(plan.scenarios[index])
-    prepare_instance(instance)
-    solution, report = _solve(
-        instance,
-        algorithm,
-        plan.optimal_time_limit_s,
-        plan.optimal_compile,
-        plan.ladder,
-        plan.validate,
-    )
-    evaluation = evaluate_solution(instance, solution)
-    return index, algorithm, solution, evaluation, (
-        None if report is None else report.to_dict()
-    ), _WORKER.get("init_s")
+    solved = []
+    for algorithm in algorithms:
+        if algorithm == "optimal" and optimal is not None:
+            solved.append((algorithm, optimal, None))
+            continue
+        chaos.check("sweep.task")
+        solution, report = _solve(
+            instance,
+            algorithm,
+            plan.optimal_time_limit_s,
+            plan.optimal_compile,
+            plan.ladder,
+            plan.validate,
+            warm_chain=warm_chain,
+        )
+        solved.append((algorithm, solution, report))
+    evaluations = evaluate_batch(instance, [sol for _, sol, _ in solved])
+    return [
+        (index, algorithm, solution, evaluation,
+         None if report is None else report.to_dict())
+        for (algorithm, solution, report), evaluation in zip(solved, evaluations)
+    ]
 
 
-def _run_task(task: tuple[int, str]) -> _TaskResult:
-    """Worker body: solve + evaluate one task from the shipped plan."""
-    return _task_rows(_WORKER["plan"], task)
+def _chunk_rows(
+    plan: SweepPlan, tasks: Sequence[tuple[int, str]], instance_of=None
+) -> Iterator[_TaskResult]:
+    """Run ``tasks`` scenario by scenario, in order.
+
+    Consecutive tasks of one scenario share one grounded instance and
+    one evaluation batch.  ``instance_of`` overrides grounding (the
+    runner passes its store-probe cache).
+    """
+    instance_of = _grounder(plan, instance_of)
+    for index, group in itertools.groupby(tasks, key=lambda t: t[0]):
+        instance = instance_of(index)
+        prepare_instance(instance)
+        yield from _scenario_rows(plan, index, instance, [a for _, a in group])
 
 
 def _chain_rows(
-    plan: SweepPlan, segment: Sequence[tuple[int, tuple[str, ...]]]
-) -> list[_TaskResult]:
+    plan: SweepPlan,
+    segment: Sequence[tuple[int, tuple[str, ...]]],
+    instance_of=None,
+) -> Iterator[_TaskResult]:
     """Run one incremental-chain segment of ``plan``.
 
     Walks the scenarios in chain order, threading one
@@ -339,40 +280,14 @@ def _chain_rows(
     """
     if _lp_batchable(plan):
         flat = [(i, a) for i, algorithms in segment for a in algorithms]
-        return _batched_rows(plan, flat, warm_chain=WarmChain())
+        yield from _batched_rows(plan, flat, instance_of, warm_chain=WarmChain())
+        return
+    instance_of = _grounder(plan, instance_of)
     warm_chain = WarmChain()
-    out: list[_TaskResult] = []
     for index, algorithms in segment:
-        instance = plan.context.instance(plan.scenarios[index])
+        instance = instance_of(index)
         prepare_instance(instance)
-        solved = []
-        for algorithm in algorithms:
-            chaos.check("sweep.task")
-            solution, report = _solve(
-                instance,
-                algorithm,
-                plan.optimal_time_limit_s,
-                plan.optimal_compile,
-                plan.ladder,
-                plan.validate,
-                warm_chain=warm_chain if plan.ladder is None else None,
-            )
-            solved.append((algorithm, solution, report))
-        evaluations = evaluate_batch(instance, [sol for _, sol, _ in solved])
-        for (algorithm, solution, report), evaluation in zip(solved, evaluations):
-            out.append((
-                index, algorithm, solution, evaluation,
-                None if report is None else report.to_dict(),
-                _WORKER.get("init_s"),
-            ))
-    return out
-
-
-def _run_chain_task(
-    segment: Sequence[tuple[int, tuple[str, ...]]],
-) -> list[_TaskResult]:
-    """Worker body: run one chain segment from the shipped plan."""
-    return _chain_rows(_WORKER["plan"], segment)
+        yield from _scenario_rows(plan, index, instance, algorithms, warm_chain)
 
 
 def _lp_batchable(plan: SweepPlan) -> bool:
@@ -395,11 +310,11 @@ def _batched_rows(
     tasks: Sequence[tuple[int, str]],
     instance_of=None,
     warm_chain: WarmChain | None = None,
-) -> list[_TaskResult]:
+) -> Iterator[_TaskResult]:
     """Run ``tasks`` with ``optimal`` solves batched into stacked LPs.
 
-    The scenario-at-a-time equivalent of this function is the
-    ``run_serial`` task loop; results are bit-identical (see
+    The scenario-at-a-time equivalent of this function is
+    :func:`_chunk_rows`; results are bit-identical (see
     :func:`repro.perf.batch.solve_optimal_batch` for why), only the
     execution order changes: ``optimal`` tasks are grouped by structural
     (N, M, P) shape, chunked to ``plan.lp_batch``, and each chunk is
@@ -413,10 +328,7 @@ def _batched_rows(
     """
     from repro.perf.batch import solve_optimal_batch
 
-    if instance_of is None:
-        def instance_of(index: int) -> FMSSMInstance:
-            return plan.context.instance(plan.scenarios[index])
-
+    instance_of = _grounder(plan, instance_of)
     by_scenario: dict[int, list[str]] = {}
     for index, algorithm in tasks:
         by_scenario.setdefault(index, []).append(algorithm)
@@ -454,37 +366,11 @@ def _batched_rows(
             for index, solution in zip(chunk, batch):
                 solutions[index] = solution
 
-    out: list[_TaskResult] = []
     for index, algorithms in by_scenario.items():
-        instance = instances[index]
-        solved = []
-        for algorithm in algorithms:
-            if algorithm == "optimal" and index in solutions:
-                solved.append((algorithm, solutions[index], None))
-                continue
-            chaos.check("sweep.task")
-            solution, report = _solve(
-                instance,
-                algorithm,
-                plan.optimal_time_limit_s,
-                plan.optimal_compile,
-                plan.ladder,
-                plan.validate,
-            )
-            solved.append((algorithm, solution, report))
-        evaluations = evaluate_batch(instance, [sol for _, sol, _ in solved])
-        for (algorithm, solution, report), evaluation in zip(solved, evaluations):
-            out.append((
-                index, algorithm, solution, evaluation,
-                None if report is None else report.to_dict(),
-                _WORKER.get("init_s"),
-            ))
-    return out
-
-
-def _run_batch_chunk(tasks: Sequence[tuple[int, str]]) -> list[_TaskResult]:
-    """Worker body: run one LP-batched task chunk from the shipped plan."""
-    return _batched_rows(_WORKER["plan"], tasks)
+        yield from _scenario_rows(
+            plan, index, instances[index], algorithms,
+            optimal=solutions.get(index),
+        )
 
 
 class _SweepRunner:
@@ -676,13 +562,11 @@ class _SweepRunner:
         )
 
     def _prime_intermediates(self) -> None:
-        """Adopt stored expensive intermediates before grounding anything.
+        """Adopt stored hop-distance tables before grounding anything.
 
-        Hop-distance tables seed the per-topology BFS cache (so a cold
-        process materializes its coefficient table without re-running
-        the BFS per destination), and the compiler's structural blocks
-        for every (N, M, P) this sweep will touch are adopted from disk
-        where present.
+        They seed the per-topology BFS cache, so a cold process
+        materializes its coefficient table without re-running the BFS
+        per destination.
         """
         from repro.routing.path_count import adopt_hop_distances
 
@@ -697,27 +581,6 @@ class _SweepRunner:
                     (tuple(item) for item in tables["tables"])
                 },
             )
-        if any(a in _HEAVY_ALGORITHMS for a in self.algorithms):
-            from repro.perf.compile import default_compiler
-
-            compiler = default_compiler()
-            table = self.context.materialize_table()
-            plane = self.context.plane
-            shapes = set()
-            for scenario in self.scenarios:
-                offline = scenario.offline_switches(plane)
-                shapes.add((
-                    len(offline),
-                    plane.n_controllers - scenario.n_failures,
-                    sum(len(table.flows_programmable_at(s)) for s in offline),
-                ))
-            adopted = {}
-            for key in sorted(shapes):
-                arrays = self.store.get_arrays("pprime-%d-%d-%d" % key)
-                if arrays is not None:
-                    adopted[key] = arrays
-            if adopted:
-                compiler.adopt_shapes(adopted)
 
     def _persist_intermediates(self) -> None:
         """Write back intermediates this sweep computed (put-if-absent)."""
@@ -734,11 +597,6 @@ class _SweepRunner:
                         for dst, distances in sorted(tables.items())
                     ],
                 })
-        if any(a in _HEAVY_ALGORITHMS for a in self.algorithms):
-            from repro.perf.compile import default_compiler
-
-            for key, arrays in default_compiler().cached_shapes().items():
-                self.store.put_arrays("pprime-%d-%d-%d" % key, arrays)
         for index, (instance, canon) in self._grounded.items():
             prep = export_instance_prep(instance)
             if prep is not None:
@@ -938,263 +796,61 @@ class _SweepRunner:
         only the visiting order and solver seeding change.  With
         ``lp_batch`` set, ``optimal`` solves are stacked into
         block-diagonal LPs (:func:`_batched_rows`) — also bit-identical.
+        Rows are stored (and checkpointed) as each scenario completes.
         """
-        if self.incremental and tasks:
-            for row in self._serial_chain(tasks):
-                self._store(*row)
+        if not tasks:
             return
-        if tasks and self._batched():
-            for row in _batched_rows(
-                self._as_plan(), tasks, instance_of=self._instance
-            ):
-                self._store(*row)
-            return
-        for index, group in itertools.groupby(tasks, key=lambda t: t[0]):
-            instance = self._instance(index)
-            prepare_instance(instance)
-            solved = []
-            for _, algorithm in group:
-                chaos.check("sweep.task")
-                solution, report = _solve(
-                    instance,
-                    algorithm,
-                    self.optimal_time_limit_s,
-                    self.optimal_compile,
-                    self.ladder,
-                    self.validate,
-                )
-                solved.append((algorithm, solution, report))
-            evaluations = evaluate_batch(instance, [sol for _, sol, _ in solved])
-            for (algorithm, solution, report), evaluation in zip(solved, evaluations):
-                self._store(
-                    index, algorithm, solution, evaluation,
-                    None if report is None else report.to_dict(),
-                )
-
-    def _serial_chain(self, tasks: Sequence[tuple[int, str]]):
-        """In-process incremental chain (generator of task-result rows)."""
-        if self._batched():
+        plan = self._as_plan()
+        if self.incremental:
             (segment,) = self.chain_plan(tasks, 1)
-            flat = [(i, a) for i, algorithms in segment for a in algorithms]
-            yield from _batched_rows(
-                self._as_plan(), flat, instance_of=self._instance,
-                warm_chain=WarmChain(),
-            )
-            return
-        warm_chain = WarmChain()
-        (segment,) = self.chain_plan(tasks, 1)
-        for index, algorithms in segment:
-            instance = self._instance(index)
-            prepare_instance(instance)
-            solved = []
-            for algorithm in algorithms:
-                chaos.check("sweep.task")
-                solution, report = _solve(
-                    instance,
-                    algorithm,
-                    self.optimal_time_limit_s,
-                    self.optimal_compile,
-                    self.ladder,
-                    self.validate,
-                    warm_chain=warm_chain if self.ladder is None else None,
-                )
-                solved.append((algorithm, solution, report))
-            evaluations = evaluate_batch(instance, [sol for _, sol, _ in solved])
-            for (algorithm, solution, report), evaluation in zip(solved, evaluations):
-                yield (
-                    index, algorithm, solution, evaluation,
-                    None if report is None else report.to_dict(), None,
-                )
+            rows = _chain_rows(plan, segment, self._instance)
+        elif self._batched():
+            rows = _batched_rows(plan, tasks, self._instance)
+        else:
+            rows = _chunk_rows(plan, tasks, self._instance)
+        for row in rows:
+            self._store(*row)
 
-    # -- fan-out encoding ----------------------------------------------
-    def _predict_shapes(self) -> dict[tuple[int, int, int], dict[str, object]]:
-        """Precompute the compiler's structural arrays for every scenario.
+    # -- pool execution -------------------------------------------------
+    def _submissions(
+        self, tasks: Sequence[tuple[int, str]], workers: int
+    ) -> list[tuple[object, object, tuple[tuple[int, str], ...]]]:
+        """Cut ``tasks`` into pool submissions ``(rows, payload, unit)``.
 
-        The (N, M, P) of a scenario follows from the control plane and
-        the coefficient table without grounding the instance: N offline
-        switches from the failed domains, M surviving controllers, and P
-        programmable pairs summed over the offline switches' inverted
-        index.  Shipped to workers so none of them rebuilds the blocks.
+        ``rows`` is the worker-side row generator, ``payload`` its
+        argument, and ``unit`` the (index, algorithm) tasks the
+        submission covers — what a supervisor charges when it fails.
+        Incremental sweeps submit one chain segment per worker.
+        LP-batched and heuristic-only sweeps submit one contiguous
+        scenario-major chunk per worker, so each worker grounds (and
+        stacks) only its own slice.  Other heavy sweeps submit one task
+        at a time for dynamic load balancing.
         """
-        from repro.perf.compile import default_compiler
-
-        table = self.context.materialize_table()
-        plane = self.context.plane
-        shapes = []
-        for scenario in self.scenarios:
-            offline = scenario.offline_switches(plane)
-            shapes.append((
-                len(offline),
-                plane.n_controllers - scenario.n_failures,
-                sum(len(table.flows_programmable_at(s)) for s in offline),
-            ))
-        return default_compiler().precompute(shapes)
-
-    def _slim_plan(self) -> ShmPlanData:
-        """The shm-route plan: context stripped to its array form."""
-        from repro.perf.coefficients import CoefficientArrays
-
-        table = self.context.materialize_table()
-        heavy = any(a in _HEAVY_ALGORITHMS for a in self.algorithms)
-        return ShmPlanData(
-            topology=self.context.topology,
-            plane=self.context.plane,
-            delay_model=self.context.delay_model,
-            arrays=CoefficientArrays.from_table(table),
-            scenarios=self.scenarios,
-            optimal_time_limit_s=self.optimal_time_limit_s,
-            optimal_compile=self.optimal_compile,
-            ladder=self.ladder,
-            validate=self.validate,
-            chaos_plan=chaos.active_plan(),
-            shapes=self._predict_shapes() if heavy else {},
-            lp_batch=self.lp_batch,
-        )
-
-    def _encode_plan(
-        self,
-    ) -> tuple[object, tuple, SegmentLease | None, FanoutStats] | None:
-        """Serialize the plan for the chosen transport.
-
-        Returns ``(initializer, initargs, lease, stats)``, or ``None``
-        when nothing can be shipped (unpicklable plan) and the caller
-        must stay serial.  ``transport="auto"`` degrades to pickle
-        silently; an explicit ``transport="shm"`` that cannot be honored
-        degrades too but says so in a :class:`DegradedResultWarning`.
-        """
-        try:
-            self.context.materialize_table()
-        except AttributeError:  # duck-typed contexts without a table cache
-            pass
-
-        if self.transport in ("auto", "shm"):
-            reason = None
-            data = None
-            if not shm_available():
-                reason = "shared memory unavailable on this platform"
-            else:
-                try:
-                    data = self._slim_plan()
-                except Exception as exc:
-                    # Non-integer node ids, duck-typed contexts, …
-                    reason = f"context cannot be array-encoded ({exc!r})"
-            if data is not None:
-                payload, lease, stats = timed_dumps_shared(data)
-                if payload.segment is not None:
-                    inband = chaos.transform("sweep.payload", payload.inband)
-                    payload = SharedPayload(
-                        inband=inband,
-                        segment=payload.segment,
-                        offsets=payload.offsets,
-                    )
-                    return _init_worker_shm, (payload,), lease, stats
-                reason = "payload carried no shareable buffers"
-            if self.transport == "shm":
-                warnings.warn(
-                    DegradedResultWarning(
-                        f"shm transport requested but {reason}; "
-                        f"falling back to the pickle route"
-                    ),
-                    stacklevel=5,
-                )
-
-        start = time.perf_counter()
-        try:
-            payload_bytes = pickle.dumps(
-                SweepPlan(
-                    self.context,
-                    self.scenarios,
-                    self.optimal_time_limit_s,
-                    self.optimal_compile,
-                    self.ladder,
-                    self.validate,
-                    chaos.active_plan(),
-                    lp_batch=self.lp_batch,
-                ),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        except Exception as exc:  # unpicklable context/scenarios: stay serial
-            self._warn_fallback(f"sweep plan failed to pickle ({exc!r})")
-            return None
-        payload_bytes = chaos.transform("sweep.payload", payload_bytes)
-        stats = FanoutStats(
-            transport="pickle",
-            payload_bytes=len(payload_bytes),
-            encode_s=time.perf_counter() - start,
-        )
-        return _init_worker, (payload_bytes,), None, stats
-
-    def run_pool(self, tasks: Sequence[tuple[int, str]], workers: int) -> bool:
-        """Fan ``tasks`` over a process pool; True when all completed.
-
-        Returns False (after keeping every received result) when the
-        pool breaks or a result refuses to pickle — the caller then
-        finishes the remainder serially.  Task-level exceptions (solver
-        bugs, validation failures without a ladder) propagate unchanged,
-        exactly as the serial path would raise them.  The shared-memory
-        segment (if any) is released on every exit path, including chaos
-        kills and checkpoint aborts.
-        """
-        encoded = self._encode_plan()
-        if encoded is None:
-            return False
-        initializer, initargs, lease, stats = encoded
-        self.fanout = stats
-
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=initializer, initargs=initargs
-            ) as pool:
-                if self.incremental:
-                    chunked = True
-                    futures = {
-                        pool.submit(_run_chain_task, segment): segment
-                        for segment in self.chain_plan(tasks, workers)
-                    }
-                elif self._batched():
-                    # Contiguous scenario-major chunks so each worker
-                    # accumulates full LP batches from its own slice.
-                    chunked = True
-                    size = -(-len(tasks) // workers)
-                    futures = {
-                        pool.submit(_run_batch_chunk, chunk): tuple(chunk)
-                        for chunk in (
-                            list(tasks[k * size:(k + 1) * size])
-                            for k in range(workers)
-                        )
-                        if chunk
-                    }
-                else:
-                    chunked = False
-                    futures = {pool.submit(_run_task, task): task for task in tasks}
-                pending = set(futures)
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        outcome = future.result()
-                        rows = outcome if chunked else [outcome]
-                        for row in rows:
-                            self._store(*row)
-        except (OSError, pickle.PicklingError, BrokenProcessPool) as exc:
-            # Sandboxes without fork/spawn, a worker killed mid-task, or
-            # results that refuse to pickle: keep what we have, finish
-            # the rest serially.
-            self._warn_fallback(f"process pool failed ({exc!r})")
-            return False
-        finally:
-            if lease is not None:
-                lease.release()
-            self._flush_checkpoint()
-        return True
+        if self.incremental:
+            return [
+                (_chain_rows, segment,
+                 tuple((i, a) for i, algorithms in segment for a in algorithms))
+                for segment in self.chain_plan(tasks, workers)
+            ]
+        if self._batched():
+            rows = _batched_rows
+        elif any(a in _HEAVY_ALGORITHMS for a in self.algorithms):
+            return [(_chunk_rows, [task], (task,)) for task in tasks]
+        else:
+            rows = _chunk_rows
+        size = -(-len(tasks) // workers)
+        chunks = (tuple(tasks[k * size:(k + 1) * size]) for k in range(workers))
+        return [(rows, list(chunk), chunk) for chunk in chunks if chunk]
 
     def _warm_header(self, executor) -> tuple[object, FanoutStats]:
-        """Encode this sweep for a warm executor (header + fan-out stats).
+        """Encode this sweep for ``executor`` (header + fan-out stats).
 
         The heavy context payload comes from the executor's cache —
         near-free on every sweep after the first over a context — and
         only the light per-sweep parameters are serialized fresh.  The
-        ``sweep.payload`` chaos site applies to that fresh blob, like it
-        does to the cold routes' payloads.
+        ``sweep.payload`` chaos site applies to that fresh blob.  An
+        explicit ``transport="shm"`` that cannot be honored degrades to
+        the pickle route with a :class:`DegradedResultWarning`.
         """
         from repro.perf import executor as executor_mod
 
@@ -1202,7 +858,15 @@ class _SweepRunner:
         entry = executor.encode_context(
             self.context, prefer_shm=self.transport != "pickle"
         )
-        heavy = any(a in _HEAVY_ALGORITHMS for a in self.algorithms)
+        transport = "shm" if entry.payload.segment is not None else "pickle"
+        if self.transport == "shm" and transport != "shm":
+            warnings.warn(
+                DegradedResultWarning(
+                    "shm transport requested but the context could not be "
+                    "placed in shared memory; falling back to the pickle route"
+                ),
+                stacklevel=5,
+            )
         chaos_plan = chaos.active_plan()
         blob = pickle.dumps(
             executor_mod._SweepParams(
@@ -1212,7 +876,6 @@ class _SweepRunner:
                 ladder=self.ladder,
                 validate=self.validate,
                 chaos_plan=chaos_plan,
-                shapes=self._predict_shapes() if heavy else {},
                 lp_batch=self.lp_batch,
             ),
             protocol=pickle.HIGHEST_PROTOCOL,
@@ -1233,7 +896,7 @@ class _SweepRunner:
             sweep_blob=blob,
         )
         stats = FanoutStats(
-            transport="warm-shm" if entry.payload.segment is not None else "warm-pickle",
+            transport=transport,
             payload_bytes=entry.payload.inband_bytes + len(blob),
             shared_bytes=entry.payload.shared_bytes,
             encode_s=time.perf_counter() - start,
@@ -1242,18 +905,19 @@ class _SweepRunner:
 
     def run_warm(self, tasks: Sequence[tuple[int, str]], workers: int,
                  executor) -> bool:
-        """Fan ``tasks`` over a warm executor; True when all completed.
+        """Fan ``tasks`` over ``executor``'s pool; True when all completed.
 
-        Same contract as :meth:`run_pool` — False keeps every received
-        result and sends the caller to the serial path — plus executor
-        bookkeeping: a broken pool is flagged for transparent respawn on
-        the executor's next sweep, and the context's segment lease stays
-        with the executor (released on eviction or close, not here).
-        Heuristic-only sweeps chunk tasks round-robin so the header is
-        decoded once per chunk; heavy sweeps keep per-task submission
-        for dynamic load balancing.
+        Returns False (after keeping every received result) when the
+        plan cannot be encoded, the pool breaks or a payload/result
+        refuses (un)pickling — the caller then finishes the remainder
+        serially.  A broken pool is flagged for transparent respawn on
+        the executor's next sweep.  Task-level exceptions (solver bugs,
+        validation failures without a ladder) propagate unchanged,
+        exactly as the serial path would raise them.  The context's
+        segment lease stays with the executor (released on eviction or
+        close, not here).
         """
-        from repro.perf import executor as executor_mod
+        from repro.perf.executor import _warm_run
 
         try:
             header, stats = self._warm_header(executor)
@@ -1264,62 +928,19 @@ class _SweepRunner:
         executor.stats["sweeps"] += 1
         try:
             pool = executor.pool()
-            if self.incremental:
-                chunked = True
-                futures = {
-                    pool.submit(executor_mod._warm_run_chain, header, segment)
-                    for segment in self.chain_plan(tasks, workers)
-                }
-            elif self._batched():
-                # LP batching wants contiguous scenario-major chunks —
-                # each worker accumulates compiled forms from its own
-                # slice into stacked solves, flushing at the batch size
-                # and at its chunk boundary.
-                chunked = True
-                size = -(-len(tasks) // workers)
-                futures = {
-                    pool.submit(executor_mod._warm_run_batch, header, chunk)
-                    for chunk in (
-                        list(tasks[k * size:(k + 1) * size])
-                        for k in range(workers)
-                    )
-                    if chunk
-                }
-            elif any(a in _HEAVY_ALGORITHMS for a in self.algorithms):
-                chunked = False
-                futures = {
-                    pool.submit(executor_mod._warm_run_task, header, task)
-                    for task in tasks
-                }
-            else:
-                chunked = True
-                # Contiguous scenario-major chunks: tasks are grouped by
-                # scenario, so each worker grounds only its own slice of
-                # the instances instead of every worker grounding all of
-                # them (as a round-robin split would).
-                size = -(-len(tasks) // workers)
-                chunks = [
-                    list(tasks[k * size:(k + 1) * size]) for k in range(workers)
-                ]
-                futures = {
-                    pool.submit(executor_mod._warm_run_chunk, header, chunk)
-                    for chunk in chunks
-                    if chunk
-                }
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    outcome = future.result()
-                    rows = outcome if chunked else [outcome]
-                    for row in rows:
-                        self._store(*row)
+            futures = [
+                pool.submit(_warm_run, header, rows, payload)
+                for rows, payload, _ in self._submissions(tasks, workers)
+            ]
+            for future in as_completed(futures):
+                for row in future.result():
+                    self._store(*row)
         except (OSError, pickle.PickleError, BrokenProcessPool) as exc:
             # A worker killed mid-task or a payload/result that refuses
             # (un)pickling: keep what we have, finish serially, and let
             # the executor respawn its pool lazily.
             executor.mark_broken()
-            self._warn_fallback(f"warm process pool failed ({exc!r})")
+            self._warn_fallback(f"process pool failed ({exc!r})")
             return False
         finally:
             self._flush_checkpoint()
@@ -1407,7 +1028,8 @@ class _SweepRunner:
         """Warm fan-out under a :class:`~repro.resilience.supervisor.
         SweepSupervisor`; True when all tasks completed.
 
-        Same submission shapes and result contract as :meth:`run_warm` —
+        Same submissions (:meth:`_submissions`) and result contract as
+        :meth:`run_warm` —
         fault-free, the two are byte-for-byte identical (the supervisor's
         hooks all return their inputs unchanged) — plus four layers of
         supervision, re-submitted in *rounds* until nothing is pending:
@@ -1434,14 +1056,13 @@ class _SweepRunner:
         does on its first crash.
         """
         from repro.exceptions import ChaosError
-        from repro.perf import executor as executor_mod
+        from repro.perf.executor import _warm_run
 
         policy = supervisor.policy
         supervisor.stats["supervised_sweeps"] += 1
         executor.stats["sweeps"] += 1
         base_ladder = self.ladder
         base_transport = self.transport
-        heavy = any(a in _HEAVY_ALGORITHMS for a in self.algorithms)
         pool_restarts = 0
         # One header per effective (ladder, transport) route for the whole
         # sweep.  Rebuilding per requeue round would mint a fresh chaos
@@ -1503,7 +1124,7 @@ class _SweepRunner:
                 probe_quota = (
                     supervisor.transport_probe_quota()
                     if self.transport != "pickle"
-                    and stats.transport == "warm-shm"
+                    and stats.transport == "shm"
                     else None
                 )
                 fallback_header = header
@@ -1526,50 +1147,15 @@ class _SweepRunner:
                 probe_done: set = set()
                 try:
                     pool = executor.pool()
-                    if self.incremental:
-                        chunked = True
-                        submissions = [
-                            (
-                                executor_mod._warm_run_chain,
-                                segment,
-                                tuple((i, a) for i, algos in segment for a in algos),
-                            )
-                            for segment in self.chain_plan(tasks, workers)
-                        ]
-                    elif heavy and self._batched():
-                        # Supervision unit = the whole batch chunk, so a
-                        # batch failure charges only its member scenarios.
-                        chunked = True
-                        size = -(-len(tasks) // workers)
-                        submissions = [
-                            (executor_mod._warm_run_batch, chunk, tuple(chunk))
-                            for chunk in (
-                                list(tasks[k * size:(k + 1) * size])
-                                for k in range(workers)
-                            )
-                            if chunk
-                        ]
-                    elif heavy:
-                        chunked = False
-                        submissions = [
-                            (executor_mod._warm_run_task, task, (task,))
-                            for task in tasks
-                        ]
-                    else:
-                        chunked = True
-                        size = -(-len(tasks) // workers)
-                        submissions = [
-                            (executor_mod._warm_run_chunk, chunk, tuple(chunk))
-                            for chunk in (
-                                list(tasks[k * size:(k + 1) * size])
-                                for k in range(workers)
-                            )
-                            if chunk
-                        ]
-                    for n, (fn, payload, unit) in enumerate(submissions):
+                    for n, (rows, payload, unit) in enumerate(
+                        self._submissions(tasks, workers)
+                    ):
                         on_probe = probe_quota is None or n < probe_quota
                         future = pool.submit(
-                            fn, header if on_probe else fallback_header, payload
+                            _warm_run,
+                            header if on_probe else fallback_header,
+                            rows,
+                            payload,
                         )
                         units[future] = unit
                         if probe_futures is not None and on_probe:
@@ -1603,8 +1189,7 @@ class _SweepRunner:
                             stored_rows = True
                             if probe_futures is not None and future in probe_futures:
                                 probe_done.add(future)
-                            rows = outcome if chunked else [outcome]
-                            for row in rows:
+                            for row in outcome:
                                 self._store(*row)
                                 supervisor.observe_report(row[4])
                                 if base_ladder is None:
@@ -1674,7 +1259,7 @@ class _SweepRunner:
                         and not pending
                         and stored_rows
                         and not transport_fault
-                        and stats.transport == "warm-shm"
+                        and stats.transport == "shm"
                     ):
                         # Results actually crossed the shm route this
                         # round — that is a transport success (closes a
@@ -1832,6 +1417,9 @@ def parallel_sweep(
 ) -> "list[ScenarioResult]":  # noqa: F821
     """Run ``scenarios`` × ``algorithms`` over a process pool.
 
+    The pool is always a :class:`~repro.perf.executor.SweepExecutor`'s:
+    the caller's ``executor`` when given, otherwise a short-lived one
+    opened for this sweep and closed (workers joined) before returning.
     Results are merged in scenario order with per-scenario algorithm
     order preserved, exactly as the serial sweep produces them.  Falls
     back to the serial path when ``max_workers`` resolves to ≤ 1, when
@@ -1843,31 +1431,32 @@ def parallel_sweep(
 
     Small heuristic-only sweeps also stay serial: forking a pool and
     shipping the context costs tens of milliseconds, which a handful of
-    sub-millisecond PM/RetroFlow tasks can never repay.  Any algorithm
-    in ``_HEAVY_ALGORITHMS`` (exact solves) disables the heuristic, as
-    does ``min_parallel_tasks=0``.
+    sub-millisecond PM/RetroFlow tasks can never repay (the default
+    threshold is 64 tasks, 16 on a caller's already-warm executor).
+    Any algorithm in ``_HEAVY_ALGORITHMS`` (exact solves) disables the
+    heuristic, as does ``min_parallel_tasks=0``.
 
     Resilience knobs (see :mod:`repro.resilience`): ``ladder`` walks
     ``optimal`` solves down a degradation ladder, ``validate`` re-checks
     heuristic solutions, and ``checkpoint_path`` enables periodic
     checkpointing with bit-identical resume.
 
-    Performance knobs: ``transport`` picks how the plan reaches workers
-    (``"auto"`` prefers the zero-copy shared-memory route and degrades
-    to pickle; ``"shm"`` degrades too but warns; ``"pickle"`` forces the
-    classic route), ``incremental`` orders scenarios into a minimum-
+    Performance knobs: ``transport`` picks how the context reaches
+    workers (``"auto"`` prefers the zero-copy shared-memory route and
+    degrades to pickle; ``"shm"`` degrades too but warns; ``"pickle"``
+    forces the in-band route), ``incremental`` orders scenarios into a minimum-
     Hamming-distance chain and warm-starts each exact solve from its
     chain neighbor.  Both are pure execution strategies: results are
     bit-identical to the defaults, and neither affects the checkpoint
     fingerprint — a sweep may resume under a different transport or
     chaining mode.
 
-    ``executor`` submits the sweep to a warm
-    :class:`~repro.perf.executor.SweepExecutor` instead of spawning a
-    fresh pool: workers persist across sweeps and cache the decoded
-    plan, so every sweep after the first over a context runs near the
-    pure-solve floor.  Results stay bit-identical; the executor's pool
-    failures degrade to the serial path exactly like fresh-pool ones.
+    ``executor`` submits the sweep to a caller-owned, warm
+    :class:`~repro.perf.executor.SweepExecutor`: workers persist across
+    sweeps and cache the decoded plan, so every sweep after the first
+    over a context runs near the pure-solve floor.  Results stay
+    bit-identical, and pool failures degrade to the serial path exactly
+    as on a short-lived executor.
 
     ``supervisor`` wraps the warm route in a
     :class:`~repro.resilience.supervisor.SweepSupervisor`: per-unit
@@ -1993,8 +1582,14 @@ def parallel_sweep(
         if not runner.run_warm(tasks, workers, executor):
             runner.run_serial(runner.pending_tasks())
     else:
+        from repro.perf.executor import SweepExecutor
+
         runner.record_mode(f"pool: {workers} workers, {len(tasks)} tasks")
-        if not runner.run_pool(tasks, workers):
+        # A short-lived executor: closing it joins the workers before
+        # the sweep returns, so no process outlives the call.
+        with SweepExecutor(max_workers=workers) as ephemeral:
+            completed = runner.run_warm(tasks, workers, ephemeral)
+        if not completed:
             runner.run_serial(runner.pending_tasks())
     runner.settle_store()
     return runner.finish()

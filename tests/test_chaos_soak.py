@@ -429,6 +429,22 @@ class TestEvictionTelemetry:
             evictions = results[0].meta["fanout"].get("evictions", {})
         assert evictions.get("chaos_nonce", 0) >= 1
 
+    def test_chaos_free_sweeps_evict_no_chaos_nonce(
+        self, soak_context, soak_sweeps
+    ):
+        """Two chaos-free sweeps with different plan keys on one worker:
+        replacing a slot that held no chaos plan is not an eviction."""
+        # One pool process, two submissions per sweep: the same worker
+        # sees both sweeps' plan keys.
+        with SweepExecutor(max_workers=1) as executor:
+            for scenarios in (soak_sweeps[0], soak_sweeps[2]):
+                results = parallel_sweep(
+                    soak_context, scenarios, ("pm", "retroflow"),
+                    max_workers=2, min_parallel_tasks=0, executor=executor,
+                )
+                evictions = results[0].meta["fanout"].get("evictions", {})
+                assert "chaos_nonce" not in evictions, evictions
+
     def test_campaign_summary_folds_eviction_telemetry(
         self, soak_context, soak_sweeps, soak_ladder
     ):

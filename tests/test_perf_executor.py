@@ -138,6 +138,37 @@ class TestWarmEquivalence:
             assert executor.stats["encode_hits"] == 1
 
 
+class TestFanoutTelemetry:
+    def test_exact_sweep_header_matches_heuristic_header(self, att_context):
+        """Exact solves add nothing to the per-task header: the in-band
+        payload of an ``optimal`` sweep stays within 2x a heuristic one."""
+        payloads = {}
+        for algorithms in (("pm", "retroflow"), ("optimal", "pm")):
+            with SweepExecutor(max_workers=2) as executor:
+                results = run_failure_sweep_parallel(
+                    att_context, 1, algorithms, 60.0, max_workers=2,
+                    min_parallel_tasks=0, executor=executor,
+                )
+            payloads[algorithms] = results[0].meta["fanout"]["payload_bytes"]
+        heuristic = payloads[("pm", "retroflow")]
+        assert payloads[("optimal", "pm")] <= 2 * heuristic, payloads
+
+    def test_first_sweep_reports_worker_init(self, ring_context, ring_scenarios):
+        """Cache-cold workers decode the context, and the sweep says so —
+        on a caller's fresh executor and on the short-lived one alike."""
+        with SweepExecutor(max_workers=2) as executor:
+            warm = parallel_sweep(
+                ring_context, ring_scenarios, FAST_ALGORITHMS,
+                max_workers=2, min_parallel_tasks=0, executor=executor,
+            )
+        short_lived = parallel_sweep(
+            ring_context, ring_scenarios, FAST_ALGORITHMS,
+            max_workers=2, min_parallel_tasks=0,
+        )
+        for results in (warm, short_lived):
+            assert results[0].meta["fanout"]["worker_init_s"] > 0.0
+
+
 @pytest.fixture
 def property_executor():
     # Function-scoped on purpose: hypothesis instantiates it once and
