@@ -151,7 +151,12 @@ def fig7_data(
 
     Runs PM and Optimal on every 1-, 2- and 3-failure combination and
     reports per-scenario and mean percentages (cases where Optimal has
-    no result are excluded from the mean, as in the paper).  Pass
+    no result are excluded from the mean, as in the paper).  Optimal's
+    time is its time to a *proven* optimum: a case closed by a
+    pre-certificate takes milliseconds, not a MILP's seconds, so PM's
+    percentage of it rises there.  Each row's ``optimal_route`` is the
+    solution's ``meta["solver"]`` (``"precert"``, ``"highs-lp"``,
+    ``"highs"``, ...), so certified cases can be told apart.  Pass
     ``results_by_n`` (from sweeps that already include both algorithms)
     to reuse existing solves.  Fresh sweeps use the process pool unless
     ``parallel=False`` (identical results either way).
@@ -179,6 +184,8 @@ def fig7_data(
         for result in results:
             opt = result.evaluations["optimal"]
             pm = result.evaluations["pm"]
+            solution = result.solutions.get("optimal")
+            route = None if solution is None else solution.meta.get("solver")
             pct = None
             if opt.feasible and opt.solve_time_s > 0:
                 pct = 100.0 * pm.solve_time_s / opt.solve_time_s
@@ -188,6 +195,7 @@ def fig7_data(
                     "pm_time_s": pm.solve_time_s,
                     "optimal_time_s": opt.solve_time_s if opt.feasible else None,
                     "pct": pct,
+                    "optimal_route": route,
                 }
             )
         valid = [r["pct"] for r in rows if r["pct"] is not None]

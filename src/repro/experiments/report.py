@@ -142,6 +142,7 @@ def render_fig7(data: dict[str, Any]) -> str:
                     f"{1000 * r['pm_time_s']:.2f}",
                     "n/a" if r["optimal_time_s"] is None else f"{r['optimal_time_s']:.3f}",
                     "n/a" if r["pct"] is None else f"{r['pct']:.2f}%",
+                    r.get("optimal_route") or "-",
                 )
             )
         mean = data["mean_pct"][n_failures]
@@ -150,7 +151,10 @@ def render_fig7(data: dict[str, Any]) -> str:
             + ("n/a" if mean is None else f"{mean:.2f}%")
         )
         sections.append(
-            render_table(("case", "pm (ms)", "optimal (s)", "pm/optimal"), table_rows)
+            render_table(
+                ("case", "pm (ms)", "optimal (s)", "pm/optimal", "optimal route"),
+                table_rows,
+            )
         )
     return "\n\n".join(sections)
 

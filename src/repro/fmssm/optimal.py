@@ -14,11 +14,23 @@ bit-identical by ``tests/test_perf_compile.py``):
 ``compile="sparse"`` (default)
     :mod:`repro.perf.compile` assembles the matrices directly from the
     instance and, when ``warm_start="pm"``, seeds the solve with the PM
-    heuristic's solution.  PM's point doubles as an *optimality
-    certificate*: if its objective reaches the LP-relaxation bound to
-    within less than the objective's granularity (objectives live on the
-    grid ``integer + λ · integer``), PM is provably optimal and the MILP
-    solve is skipped entirely.
+    heuristic's solution and tries to *certify* an answer before any
+    MILP.  Feasible objectives live on the grid ``integer + λ ·
+    integer``, so a feasible point within half the grid spacing of a
+    dual bound is provably optimal.  The pipeline, cheapest first:
+
+    1. PM pre-certificate — PM's point against the closed-form
+       :func:`_combinatorial_bound` (no LP);
+    2. full-recovery pre-certificate — when the spare covers every
+       programmable pair, an N×M switch-assignment probe
+       (:func:`_full_recovery_point`) for a point with every pair
+       active, which reaches that bound exactly;
+    3. LP certificate — PM's point against the LP-relaxation bound;
+    4. the P′ MILP.
+
+    Both pre-certificates report ``meta["solver"] == "precert"`` and
+    name their source in ``meta["precert"]`` (``"pm"`` or
+    ``"full-recovery"``).
 ``compile="model"``
     The original readable route through the :mod:`repro.lp.model` DSL
     and :func:`to_standard_form`, kept for cross-validation.
@@ -35,6 +47,9 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
+from scipy import optimize, sparse
 
 from repro.exceptions import DegradedResultWarning, RungTimeoutError, SolverError
 from repro.fmssm.formulation import FMSSMVariables, build_fmssm_model
@@ -67,8 +82,9 @@ class WarmChain:
     without a basis API).
 
     Neither ingredient can change a non-degraded answer on the default
-    HiGHS route — scipy's MILP takes no warm start, the PM-seeded
-    certificates compare the PM point only, and the basis hint at most
+    HiGHS route — scipy's MILP takes no warm start, the certificates
+    compare the PM point or the instance-only full-recovery point, and
+    the basis hint at most
     changes which vertex path the LP walks, not its optimal value — so
     chained results stay bit-identical to independent solves.  The seeds
     *do* feed the B&B incumbent (``solver="bnb"``) and the no-incumbent
@@ -194,6 +210,107 @@ def _combinatorial_bound(instance: FMSSMInstance) -> float:
     return r_ub + instance.lam * bonus
 
 
+def _full_recovery_point(
+    instance: FMSSMInstance,
+    enforce_delay: bool,
+    time_limit_s: float | None,
+) -> RecoverySolution | None:
+    """A switch→controller remap with every programmable pair in SDN mode.
+
+    When the total spare capacity covers every programmable pair, such a
+    point reaches :func:`_combinatorial_bound` exactly (``r = r_ub`` and
+    every ``p̄`` counted), so finding one proves it optimal.  It is a
+    small generalized-assignment problem over the switches that carry
+    pairs — one ``x[s,c]`` per (switch, spare-positive controller):
+
+    - ``Σ_c x[s,c] = 1`` — every such switch is mapped (Eq. 2);
+    - ``Σ_s |pairs_at(s)|·x[s,c] ≤ spare[c]`` — Eq. 12 with all pairs on;
+    - ``Σ |pairs_at(s)|·D[s,c]·x[s,c] ≤ G`` when ``enforce_delay`` (Eq. 14);
+
+    minimizing that delay sum as a deterministic tie-break.  Pair-less
+    switches stay unmapped.  The probe is best-effort: it returns
+    ``None`` when there is no pair, the spare cannot cover every pair,
+    or HiGHS does not report an optimal assignment.  It calls
+    :func:`scipy.optimize.milp` directly, so it is neither a P′ MILP
+    solve nor a ``highs.solve`` chaos site.
+    """
+    if not instance.pairs or instance.total_spare < len(instance.pairs):
+        return None
+    switches = [s for s in instance.switches if instance.pairs_at[s]]
+    controllers = [c for c in instance.controllers if instance.spare[c] > 0]
+    n, m = len(switches), len(controllers)
+    load = np.array([len(instance.pairs_at[s]) for s in switches], dtype=float)
+    delay = np.array(
+        [[instance.delay[(s, c)] for c in controllers] for s in switches]
+    )
+    cost = (load[:, None] * delay).ravel()
+    cols = np.arange(n * m)
+    rows = [
+        optimize.LinearConstraint(
+            sparse.csr_matrix((np.ones(n * m), (cols // m, cols)), shape=(n, n * m)),
+            1.0,
+            1.0,
+        ),
+        optimize.LinearConstraint(
+            sparse.csr_matrix((np.repeat(load, m), (cols % m, cols)), shape=(m, n * m)),
+            -np.inf,
+            np.array([instance.spare[c] for c in controllers], dtype=float),
+        ),
+    ]
+    if enforce_delay:
+        rows.append(
+            optimize.LinearConstraint(cost[None, :], -np.inf, instance.ideal_delay_ms)
+        )
+    raw = optimize.milp(
+        c=cost,
+        constraints=rows,
+        integrality=np.ones(n * m),
+        bounds=optimize.Bounds(0.0, 1.0),
+        options=None if time_limit_s is None else {"time_limit": float(time_limit_s)},
+    )
+    if raw.status != 0 or raw.x is None:  # 0: proven optimal
+        return None
+    chosen = np.asarray(raw.x).reshape(n, m).argmax(axis=1)
+    return RecoverySolution(
+        algorithm="optimal",
+        mapping={s: controllers[j] for s, j in zip(switches, chosen)},
+        sdn_pairs=set(instance.pairs),
+    )
+
+
+def _precertificate(
+    instance: FMSSMInstance,
+    compiled: object,
+    seed_x: np.ndarray | None,
+    enforce_delay: bool,
+    time_limit_s: float | None,
+) -> tuple[np.ndarray, str] | None:
+    """A point of ``compiled`` proven optimal without an LP, and its source.
+
+    Tries the PM seed first (``"pm"``), then :func:`_full_recovery_point`
+    (``"full-recovery"``).  A point is accepted when its objective
+    reaches :func:`_combinatorial_bound` within the certificate
+    tolerance — the bound dominates the LP relaxation, so such a point is
+    exactly optimal.  The probe's point must also embed in the compiled
+    form (``embed_solution`` is the feasibility guard).  Returns ``None``
+    when neither certifies; the caller then falls through to the LP
+    certificate and the MILP.
+    """
+    cert_tol = _certificate_tolerance(instance)
+    if cert_tol is None:
+        return None
+    bound = _combinatorial_bound(instance) - cert_tol
+    if seed_x is not None and compiled.objective_value(seed_x) >= bound:
+        return seed_x, "pm"
+    point = _full_recovery_point(instance, enforce_delay, time_limit_s)
+    if point is None:
+        return None
+    x = compiled.embed_solution(point)
+    if x is not None and compiled.objective_value(x) >= bound:
+        return x, "full-recovery"
+    return None
+
+
 def _infeasible(meta: dict[str, object], elapsed: float) -> RecoverySolution:
     return RecoverySolution(
         algorithm="optimal", feasible=False, solve_time_s=elapsed, meta=meta
@@ -268,57 +385,60 @@ def _solve_optimal_sparse(
                 warm_chain.bump("chain_seeds")
 
     certificate = False
+    precert = None
     result: SolveResult | None = None
-    if seed_x is not None:
+    if warm_start == "pm":
+        precert = _precertificate(
+            instance, compiled, seed_x, enforce_delay, time_limit_s
+        )
+    if precert is not None:
+        # The point reaches the combinatorial bound, which dominates the
+        # LP bound: provably optimal without the LP or the MILP.
+        certificate = True
+        if warm_chain is not None:
+            warm_chain.bump("precertificates")
+        result = SolveResult(
+            status=SolveStatus.OPTIMAL,
+            objective=compiled.objective_value(precert[0]),
+            x=precert[0],
+            solver="precert",
+            wall_time_s=0.0,
+            gap=0.0,
+        )
+    elif seed_x is not None:
         cert_tol = _certificate_tolerance(instance)
         seed_obj = compiled.objective_value(seed_x)
-        if cert_tol is not None and seed_obj >= _combinatorial_bound(instance) - cert_tol:
-            # The combinatorial bound dominates the LP bound, so the LP
-            # certificate would fire too — skip the LP solve entirely
-            # and return the same PM point it would return.
+        relaxation = solve_form_relaxation(
+            compiled.form,
+            basis=None if warm_chain is None else warm_chain.basis,
+        )
+        if warm_chain is not None:
+            warm_chain.basis = relaxation.basis
+        if relaxation.status is SolveStatus.INFEASIBLE:
+            # The LP relaxing integrality is already infeasible, so the
+            # MILP is too (cannot happen with a validated seed except
+            # through numerical tolerance; trust the LP like B&B does).
+            return _infeasible(
+                {"status": "infeasible", "solver": relaxation.solver,
+                 "compile": "sparse"},
+                time.perf_counter() - start,
+            )
+        if (
+            relaxation.status is SolveStatus.OPTIMAL
+            and cert_tol is not None
+            and seed_obj >= relaxation.objective - cert_tol
+        ):
+            # PM reaches the dual bound within less than the objective
+            # grid spacing: provably optimal, skip the MILP.
             certificate = True
-            if warm_chain is not None:
-                warm_chain.bump("precertificates")
             result = SolveResult(
                 status=SolveStatus.OPTIMAL,
                 objective=seed_obj,
                 x=seed_x,
-                solver="precert",
-                wall_time_s=0.0,
+                solver=relaxation.solver,
+                wall_time_s=relaxation.wall_time_s,
                 gap=0.0,
             )
-        else:
-            relaxation = solve_form_relaxation(
-                compiled.form,
-                basis=None if warm_chain is None else warm_chain.basis,
-            )
-            if warm_chain is not None:
-                warm_chain.basis = relaxation.basis
-            if relaxation.status is SolveStatus.INFEASIBLE:
-                # The LP relaxing integrality is already infeasible, so the
-                # MILP is too (cannot happen with a validated seed except
-                # through numerical tolerance; trust the LP like B&B does).
-                return _infeasible(
-                    {"status": "infeasible", "solver": relaxation.solver,
-                     "compile": "sparse"},
-                    time.perf_counter() - start,
-                )
-            if (
-                relaxation.status is SolveStatus.OPTIMAL
-                and cert_tol is not None
-                and seed_obj >= relaxation.objective - cert_tol
-            ):
-                # PM reaches the dual bound within less than the objective
-                # grid spacing: provably optimal, skip the MILP.
-                certificate = True
-                result = SolveResult(
-                    status=SolveStatus.OPTIMAL,
-                    objective=seed_obj,
-                    x=seed_x,
-                    solver=relaxation.solver,
-                    wall_time_s=relaxation.wall_time_s,
-                    gap=0.0,
-                )
 
     if result is None:
         best_seed = seed_x
@@ -381,6 +501,8 @@ def _solve_optimal_sparse(
         },
     )
     solution.meta["objective"] = _canonical_objective(instance, solution)
+    if precert is not None:
+        solution.meta["precert"] = precert[1]
     if result.solver == "pm-fallback":
         solution.meta["degraded"] = True
         solution.meta["fallback_rung"] = "pm-fallback"
@@ -445,7 +567,8 @@ def solve_optimal(
         path); ``"model"`` through the original DSL (cross-validation).
     warm_start:
         ``"pm"`` seeds the solve with the PM heuristic (incumbent for
-        B&B, certificate/fallback for HiGHS); ``None`` solves cold.
+        B&B, certificate/fallback for HiGHS) and enables the
+        pre-certificates; ``None`` solves cold, straight to the MILP.
     compiler:
         Optional :class:`~repro.perf.compile.FMSSMCompiler` to reuse
         structural caches across scenarios (sparse route only).

@@ -16,8 +16,9 @@ batched: the PM-seeded LP-bound *certificate* (see
 1. compile the scenario — dropping spare-zero controllers, whose
    ``x``/``w`` columns provably cannot change the LP optimum (DESIGN
    §14) — and embed the PM seed;
-2. try the closed-form combinatorial pre-certificate (identical to the
-   individual route, no LP needed);
+2. try the pre-certificates — the PM seed, then the full-recovery
+   assignment probe, each against the combinatorial bound — through the
+   same helper the individual route calls (no LP needed);
 3. otherwise stack the member's reduced block into the batch.
 
 The stacked form is ``scipy.sparse.block_diag`` of the member CSR
@@ -30,9 +31,12 @@ block cannot create cross-talk.  Each member's slice is then checked
 with its **own unscaled** objective against the member's certificate
 tolerance.
 
-A member whose certificate fires returns the PM seed — the *same* point
-the individual route returns, with the same ``meta`` — so accepted
-members are bit-identical by construction.  Every other member (no PM
+A member whose certificate fires returns the pre-certified point or the
+PM seed — the *same* point the individual route returns, with the same
+``meta`` — so accepted members are bit-identical by construction.  The
+full-recovery probe leaves pair-less switches unmapped and never maps
+to a spare-zero controller, so its point embeds in the reduced block
+exactly as in the full form.  Every other member (no PM
 seed, no safe tolerance, slice fails the feasibility guard, certificate
 miss, batch-level solver error or injected fault) **falls back to**
 :func:`repro.fmssm.optimal.solve_optimal` individually, which *is* the
@@ -62,7 +66,7 @@ from repro.fmssm.optimal import (
     WarmChain,
     _canonical_objective,
     _certificate_tolerance,
-    _combinatorial_bound,
+    _precertificate,
     _validated,
     solve_optimal,
 )
@@ -109,6 +113,8 @@ class _Member:
     compiled: object = None
     seed_x: np.ndarray | None = None
     seed_obj: float = 0.0
+    #: ``(point, source)`` from ``_precertificate``, when one fired.
+    precert: tuple[np.ndarray, str] | None = None
     cert_tol: float | None = None
     reduced: bool = False
     prep_s: float = 0.0
@@ -181,13 +187,15 @@ def _accept(
     elapsed: float,
     warm_chain: WarmChain | None,
 ) -> RecoverySolution:
-    """Finalize a certificate-accepted member with the PM seed.
+    """Finalize a certificate-accepted member.
 
     Mirrors the accept path of ``_solve_optimal_sparse`` field for
-    field: same mapping/pairs (extracted from the seed), same ``meta``
-    keys and values — plus the batch provenance under ``meta["batch"]``.
+    field: same mapping/pairs (extracted from the pre-certified point or
+    the PM seed), same ``meta`` keys and values — plus the batch
+    provenance under ``meta["batch"]``.
     """
-    mapping, sdn_pairs = member.compiled.extract(member.seed_x)
+    x = member.seed_x if member.precert is None else member.precert[0]
+    mapping, sdn_pairs = member.compiled.extract(x)
     solution = RecoverySolution(
         algorithm="optimal",
         mapping=mapping,
@@ -200,13 +208,15 @@ def _accept(
             "gap": 0.0,
             "compile": "sparse",
             "certificate": True,
-            "solver_objective": member.seed_obj,
+            "solver_objective": member.compiled.objective_value(x),
         },
     )
     solution.meta["objective"] = _canonical_objective(member.instance, solution)
+    if member.precert is not None:
+        solution.meta["precert"] = member.precert[1]
+        if warm_chain is not None:
+            warm_chain.bump("precertificates")
     solution.meta["batch"] = dict(member.batch_meta)
-    if warm_chain is not None and member.route == "precert":
-        warm_chain.bump("precertificates")
     return solution
 
 
@@ -258,7 +268,12 @@ def solve_optimal_batch(
         pm = solve_pm(instance, enforce_delay=enforce_delay)
         member.seed_x = member.compiled.embed_solution(pm)
         member.cert_tol = _certificate_tolerance(instance)
-        if member.seed_x is None:
+        member.precert = _precertificate(
+            instance, member.compiled, member.seed_x, enforce_delay, time_limit_s
+        )
+        if member.precert is not None:
+            member.route = "precert"
+        elif member.seed_x is None:
             member.route = "fallback"
             member.fallback_reason = "no-seed"
         elif member.cert_tol is None:
@@ -266,11 +281,8 @@ def solve_optimal_batch(
             member.fallback_reason = "no-certificate-tolerance"
         else:
             member.seed_obj = member.compiled.objective_value(member.seed_x)
-            if member.seed_obj >= _combinatorial_bound(instance) - member.cert_tol:
-                member.route = "precert"
-            else:
-                member.route = "stack"
-                stacked.append(member)
+            member.route = "stack"
+            stacked.append(member)
         member.prep_s = time.perf_counter() - start
 
     # ------------------------------------------------------------------
