@@ -3,16 +3,23 @@
 Variables
 ---------
 ``x[i,j]``    binary — offline switch ``i`` mapped to controller ``j``.
-``y[i,l]``    binary — flow ``l`` in SDN mode at switch ``i``; created only
-              for programmable pairs (``beta = 1``), since Eq. (1) forces
-              ``y = 0`` elsewhere and such pairs contribute nothing.
-``w[i,j,l]``  binary — the McCormick linearization of ``x[i,j] * y[i,l]``
-              (Eqs. 9–11).
+``w[i,j,l]``  binary — flow ``l`` in SDN mode at switch ``i`` under
+              controller ``j``: the paper's ``ω = x·y`` (Eqs. 9–11).
+              Created only for programmable pairs (``beta = 1``), since
+              Eq. (1) forces SDN mode off elsewhere and such pairs
+              contribute nothing.
 ``r``         continuous ≥ 0 — least programmability of recoverable flows.
+
+The paper's per-pair mode variable ``y[i,l]`` is not created: it is
+implied as ``y ≡ Σ_j w[i,j,l]``.  Once Eq. (2) and ``w ≤ x`` hold, the
+McCormick rows ``w ≤ y`` and ``x + y − w ≤ 1`` cut off no integer point
+and leave the LP relaxation's projection onto ``(x, w, r)`` unchanged
+(DESIGN §1.1), so only ``w ≤ x`` is kept.
 
 Constraints
 -----------
 Eq. (2)   each switch maps to at most one controller;
+Eqs. (9)–(11)  ``w[i,j,l] <= x[i,j]`` — the one McCormick row kept;
 Eq. (12)  controller spare-capacity budget over SDN pairs;
 Eq. (13)  ``pro^l >= r`` for every *recoverable* flow (see
           :mod:`repro.fmssm.instance` for why unrecoverable flows are
@@ -40,7 +47,6 @@ class FMSSMVariables:
 
     def __init__(self) -> None:
         self.x: dict[tuple[NodeId, ControllerId], Var] = {}
-        self.y: dict[tuple[NodeId, FlowId], Var] = {}
         self.w: dict[tuple[NodeId, ControllerId, FlowId], Var] = {}
         self.r: Var | None = None
 
@@ -70,9 +76,6 @@ def build_fmssm_model(
                 f"x[{switch},{controller}]", binary=True
             )
     for switch, flow_id in instance.pairs:
-        handles.y[(switch, flow_id)] = model.add_var(
-            f"y[{switch},{flow_id}]", binary=True
-        )
         for controller in instance.controllers:
             handles.w[(switch, controller, flow_id)] = model.add_var(
                 f"w[{switch},{controller},{flow_id}]", binary=True
@@ -98,19 +101,12 @@ def build_fmssm_model(
         )
         model.add_constraint(expr <= 1, name=f"map[{switch}]")
 
-    # Eqs. (9)-(11): w = x * y (McCormick for binaries).
+    # Eqs. (9)-(11): only w <= x.  The rows w <= y and x + y - w <= 1
+    # hold for the implied y = sum_c w once Eq. (2) and w <= x do.
     for (switch, controller, flow_id), w_var in handles.w.items():
-        x_var = handles.x[(switch, controller)]
-        y_var = handles.y[(switch, flow_id)]
         model.add_constraint(
-            LinExpr.from_term(w_var) - x_var <= 0, name=f"wx[{switch},{controller},{flow_id}]"
-        )
-        model.add_constraint(
-            LinExpr.from_term(w_var) - y_var <= 0, name=f"wy[{switch},{controller},{flow_id}]"
-        )
-        model.add_constraint(
-            LinExpr.from_term(x_var) + y_var - w_var <= 1,
-            name=f"wxy[{switch},{controller},{flow_id}]",
+            LinExpr.from_term(w_var) - handles.x[(switch, controller)] <= 0,
+            name=f"wx[{switch},{controller},{flow_id}]",
         )
 
     # Eq. (12): controller capacity over SDN pairs (beta folded into the

@@ -118,8 +118,7 @@ def extract_solution(
 
     Pairs are activated from the ``w`` variables so that capacity/delay
     accounting matches the solver's own; the switch mapping comes from
-    ``x``.  A ``y = 1`` with no mapped controller stays inactive, exactly
-    as in the formulation.
+    ``x``.
     """
     if not result.is_feasible:
         raise SolverError(f"cannot extract from status {result.status.value}")

@@ -3,7 +3,6 @@
 from repro.lp.branch_and_bound import solve_with_bnb
 from repro.lp.highs import solve_with_highs
 from repro.lp.model import EQUAL, GREATER_EQUAL, LESS_EQUAL, Constraint, LinExpr, Model, Var
-from repro.lp.simplex import solve_with_simplex
 from repro.lp.solution import SolveResult, SolveStatus
 from repro.lp.standard_form import StandardForm, to_standard_form
 
@@ -21,7 +20,6 @@ __all__ = [
     "SolveStatus",
     "solve_with_highs",
     "solve_with_bnb",
-    "solve_with_simplex",
     "solve",
 ]
 
@@ -29,13 +27,10 @@ __all__ = [
 def solve(model: Model, solver: str = "highs", **kwargs: object) -> SolveResult:
     """Solve a model with the chosen backend.
 
-    ``"highs"`` (default) and ``"bnb"`` handle MILPs; ``"simplex"`` is
-    the library's own LP solver and ignores integrality markers.
+    ``"highs"`` (default) and ``"bnb"`` both handle MILPs.
     """
     if solver == "highs":
         return solve_with_highs(model, **kwargs)  # type: ignore[arg-type]
     if solver == "bnb":
         return solve_with_bnb(model, **kwargs)  # type: ignore[arg-type]
-    if solver == "simplex":
-        return solve_with_simplex(model, **kwargs)  # type: ignore[arg-type]
-    raise ValueError(f"unknown solver {solver!r}; use 'highs', 'bnb' or 'simplex'")
+    raise ValueError(f"unknown solver {solver!r}; use 'highs' or 'bnb'")

@@ -17,18 +17,21 @@ mirrors the DSL path exactly:
 
 columns
     ``x[s,c]`` switch-major (``s * M + c``), then per programmable pair
-    ``k``: ``y_k`` followed by ``w[k,0..M-1]``, and finally ``r``.
+    ``k`` the block ``w[k,0..M-1]`` (column ``N*M + k*M + c``), and
+    finally ``r``.  There is no ``y`` column: the paper's per-pair mode
+    bit is implied as ``y ≡ Σ_c w[k,c]`` (DESIGN §1.1).
 rows (all ``<=`` after normalization)
-    Eq. (2) mapping rows, the Eqs. (9)–(11) McCormick triples in
-    (pair, controller) order, Eq. (12) capacity rows, Eq. (13)
-    programmability rows (negated ``>=``), and the Eq. (14) delay row.
+    Eq. (2) mapping rows, one ``w <= x`` row per ``w`` in (pair,
+    controller) order (the McCormick row of Eqs. (9)–(11) that is not
+    redundant), Eq. (12) capacity rows, Eq. (13) programmability rows
+    (negated ``>=``), and the Eq. (14) delay row.
 
 so the emitted ``A``/``b``/``c``/bounds/integrality are *identical* to
 ``to_standard_form(build_fmssm_model(instance))`` — asserted by
 ``tests/test_perf_compile.py``.
 
-Cross-scenario reuse: the purely structural index arrays (McCormick row
-numbers, ``w``/``y`` column layouts, capacity-row patterns) depend only
+Cross-scenario reuse: the purely structural index arrays (``w <= x`` row
+numbers, the ``w`` column layout, capacity-row patterns) depend only
 on the (N, M, P) shape, so an :class:`FMSSMCompiler` caches them and
 every same-shaped scenario of a sweep slices from one master template
 instead of rebuilding.
@@ -48,7 +51,18 @@ from repro.fmssm.solution import RecoverySolution
 from repro.lp.standard_form import StandardForm
 from repro.types import ControllerId, FlowId, NodeId
 
-__all__ = ["CompiledFMSSM", "FMSSMCompiler", "compile_fmssm", "default_compiler"]
+__all__ = [
+    "PPRIME_FORM",
+    "CompiledFMSSM",
+    "FMSSMCompiler",
+    "compile_fmssm",
+    "default_compiler",
+]
+
+#: Tag of the compiled P′ layout.  Bump it whenever a change to the form
+#: can change which optimal point a solver returns: solve-store keys of
+#: exact solves hash it, so records written under another form miss.
+PPRIME_FORM = "y-free-1"
 
 #: Feasibility slack used when embedding heuristic solutions.
 _EMBED_TOL = 1e-6
@@ -80,16 +94,12 @@ class CompiledFMSSM:
 
     @property
     def n_x(self) -> int:
-        """Number of ``x`` columns (N * M); also the first ``y`` column."""
+        """Number of ``x`` columns (N * M); also the first ``w`` column."""
         return len(self.switches) * len(self.controllers)
-
-    def y_col(self, k: int) -> int:
-        """Column of ``y`` for pair ``k``."""
-        return self.n_x + k * (len(self.controllers) + 1)
 
     def w_col(self, k: int, ci: int) -> int:
         """Column of ``w`` for pair ``k`` under controller index ``ci``."""
-        return self.y_col(k) + 1 + ci
+        return self.n_x + k * len(self.controllers) + ci
 
     # ------------------------------------------------------------------
     # Solution <-> vector conversion
@@ -97,8 +107,8 @@ class CompiledFMSSM:
     def embed_solution(self, solution: RecoverySolution) -> np.ndarray | None:
         """A feasible point of the compiled form from a heuristic solution.
 
-        The switch mapping fills ``x``, served SDN pairs fill ``y``/``w``
-        (a pair served by a controller other than its switch's mapping
+        The switch mapping fills ``x``, served SDN pairs fill ``w`` (a
+        pair served by a controller other than its switch's mapping
         cannot be expressed in P′ and fails the feasibility check), and
         ``r`` takes the largest value Eq. (13) permits.  Returns ``None``
         when the embedded point violates the form — e.g. the solution is
@@ -125,7 +135,6 @@ class CompiledFMSSM:
             ci = self.controller_index.get(controller)
             if ci is None:
                 return None
-            x[self.y_col(k)] = 1.0
             x[self.w_col(k, ci)] = 1.0
             if flow_id in pro:
                 pro[flow_id] += self.pbar_values[k]
@@ -163,9 +172,9 @@ class CompiledFMSSM:
             mapping[self.switches[col // m]] = self.controllers[col % m]
         sdn_pairs: set[tuple[NodeId, FlowId]] = set()
         if self.pairs:
-            stride = m + 1
-            block = x[self.n_x : self.n_x + len(self.pairs) * stride].reshape(-1, stride)
-            for k in np.flatnonzero(np.any(block[:, 1:] > _BINARY_THRESHOLD, axis=1)):
+            p = len(self.pairs)
+            block = x[self.n_x : self.n_x + p * m].reshape(p, m)
+            for k in np.flatnonzero(np.any(block > _BINARY_THRESHOLD, axis=1)):
                 sdn_pairs.add(self.pairs[k])
         return mapping, sdn_pairs
 
@@ -196,28 +205,19 @@ class FMSSMCompiler:
             return cached
         n_x = n * m
         q = p * m  # number of w variables
-        w_cols = n_x + np.repeat(np.arange(p, dtype=np.int64) * (m + 1) + 1, m) + np.tile(
-            np.arange(m, dtype=np.int64), p
-        )
-        y_cols = n_x + np.arange(p, dtype=np.int64) * (m + 1)
-        y_cols_rep = np.repeat(y_cols, m)
         ci_tile = np.tile(np.arange(m, dtype=np.int64), p)
-        mc_base = n + 3 * np.arange(q, dtype=np.int64)
         arrays = {
             # Eq. (2) mapping rows: one row per switch over its M x columns.
             "map_rows": np.repeat(np.arange(n, dtype=np.int64), m),
             "map_cols": np.arange(n_x, dtype=np.int64),
-            # w/y column layout in (pair, controller) order.
-            "w_cols": w_cols,
-            "y_cols_rep": y_cols_rep,
+            # w column layout in (pair, controller) order.
+            "w_cols": n_x + np.arange(q, dtype=np.int64),
             "ci_tile": ci_tile,
-            # McCormick row numbers: triples (wx, wy, wxy) per w variable.
-            "wx_rows": mc_base,
-            "wy_rows": mc_base + 1,
-            "wxy_rows": mc_base + 2,
+            # One w <= x row per w variable.
+            "wx_rows": n + np.arange(q, dtype=np.int64),
             # Capacity rows: w columns grouped by controller.
-            "cap_rows": n + 3 * q + ci_tile,
-            "mccormick_b": np.tile(np.array([0.0, 0.0, 1.0]), q),
+            "cap_rows": n + q + ci_tile,
+            "mccormick_b": np.zeros(q),
             "ones_q": np.ones(q),
             "neg_ones_q": np.full(q, -1.0),
         }
@@ -263,7 +263,7 @@ class FMSSMCompiler:
         n, m, p = len(switches), len(controllers), len(pairs)
         n_x = n * m
         q = p * m
-        n_vars = n_x + p * (m + 1) + 1
+        n_vars = n_x + q + 1
         r_col = n_vars - 1
         shape = self._shape_arrays(n, m, p)
 
@@ -305,16 +305,11 @@ class FMSSMCompiler:
         n_rows = n
 
         if p:
-            # Eqs. (9)-(11): w <= x, w <= y, x + y - w <= 1.
+            # Eqs. (9)-(11): w <= x (the rows tying w to y are redundant).
             block(shape["wx_rows"], w_cols, shape["ones_q"])
             block(shape["wx_rows"], x_cols_rep, shape["neg_ones_q"])
-            block(shape["wy_rows"], w_cols, shape["ones_q"])
-            block(shape["wy_rows"], shape["y_cols_rep"], shape["neg_ones_q"])
-            block(shape["wxy_rows"], x_cols_rep, shape["ones_q"])
-            block(shape["wxy_rows"], shape["y_cols_rep"], shape["ones_q"])
-            block(shape["wxy_rows"], w_cols, shape["neg_ones_q"])
             b_blocks.append(shape["mccormick_b"])
-            n_rows += 3 * q
+            n_rows += q
 
             # Eq. (12): controller capacity over SDN pairs.
             block(shape["cap_rows"], w_cols, shape["ones_q"])
@@ -385,7 +380,6 @@ class FMSSMCompiler:
                 f"x[{s},{c_}]" for s in switches for c_ in controllers
             ]
             for s, f in pairs:
-                names.append(f"y[{s},{f}]")
                 names.extend(f"w[{s},{c_},{f}]" for c_ in controllers)
             names.append("r")
             var_names = tuple(names)

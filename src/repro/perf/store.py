@@ -239,13 +239,16 @@ def solve_key(
     carry only the fingerprint and the name; exact solves additionally
     key on the compile route and the time limit (conservative — a
     completed solve does not depend on the limit, but sharing across
-    limits would make a hit's provenance ambiguous).
+    limits would make a hit's provenance ambiguous) and on the compiled
+    form's tag :data:`~repro.perf.compile.PPRIME_FORM`, because another
+    form may return another optimal point.
     """
+    from repro.perf.compile import PPRIME_FORM
     from repro.perf.sweep import _HEAVY_ALGORITHMS
 
     if algorithm in _HEAVY_ALGORITHMS:
         params = hashlib.sha256(repr(
-            (float(optimal_time_limit_s), str(optimal_compile))
+            (float(optimal_time_limit_s), str(optimal_compile), PPRIME_FORM)
         ).encode()).hexdigest()[:12]
     else:
         params = "-"

@@ -14,21 +14,23 @@ class TestModelShape:
         model, handles = build_fmssm_model(tiny_instance)
         n_pairs = len(tiny_instance.pairs)
         assert len(handles.x) == 2 * 2
-        assert len(handles.y) == n_pairs
+        assert not hasattr(handles, "y")  # y is implied as sum_c w
         assert len(handles.w) == n_pairs * 2
-        assert model.n_vars == 4 + n_pairs + 2 * n_pairs + 1  # + r
+        assert model.n_vars == 4 + 2 * n_pairs + 1  # + r
+        assert not any(var.name.startswith("y[") for var in model.variables)
 
     def test_constraint_counts(self, tiny_instance):
         model, handles = build_fmssm_model(tiny_instance)
-        n_pairs = len(tiny_instance.pairs)
         expected = (
             2                    # Eq. (2) per switch
-            + 3 * len(handles.w)  # McCormick
+            + len(handles.w)     # McCormick w <= x
             + 2                  # Eq. (12) per controller
             + 3                  # Eq. (13) per recoverable flow
             + 1                  # Eq. (14)
         )
         assert model.n_constraints == expected
+        families = {c.name.split("[")[0] for c in model.constraints}
+        assert families == {"map", "wx", "cap", "pro", "delay"}
 
     def test_delay_constraint_optional(self, tiny_instance):
         with_delay, _ = build_fmssm_model(tiny_instance, enforce_delay=True)
@@ -56,15 +58,6 @@ class TestSolvedSemantics:
             for (s, c, f), var in handles.w.items()
         )
         assert total == pytest.approx(11.0)
-
-    def test_mccormick_consistency(self, tiny_instance):
-        model, handles = build_fmssm_model(tiny_instance)
-        result = solve(model)
-        for (switch, controller, flow_id), w_var in handles.w.items():
-            w = result.value(w_var.name)
-            x = result.value(handles.x[(switch, controller)].name)
-            y = result.value(handles.y[(switch, flow_id)].name)
-            assert w == pytest.approx(x * y, abs=1e-6)
 
     def test_single_mapping_per_switch(self, tiny_instance):
         model, handles = build_fmssm_model(tiny_instance)

@@ -1,4 +1,4 @@
-"""Tests for the library-owned two-phase simplex solver."""
+"""Tests for the test-only two-phase simplex oracle (``simplex_oracle``)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.lp import LinExpr, Model, SolveStatus, solve
-from repro.lp.simplex import solve_with_simplex
+from simplex_oracle import solve_with_simplex
 
 
 class TestBasics:
@@ -68,14 +68,6 @@ class TestBasics:
         m.set_objective(x, sense="max")
         result = solve_with_simplex(m)
         assert result.objective == pytest.approx(3.5)
-
-    def test_registered_in_solve(self):
-        m = Model()
-        x = m.add_var("x", ub=3)
-        m.set_objective(x, sense="max")
-        result = solve(m, solver="simplex")
-        assert result.solver == "simplex"
-        assert result.objective == pytest.approx(3.0)
 
     def test_objective_constant(self):
         m = Model()

@@ -35,6 +35,8 @@ def dsl_form(instance, require_full_recovery=False, enforce_delay=True):
 
 def assert_forms_identical(sparse_form, model_form):
     assert sparse_form.var_names == model_form.var_names
+    # y-free P′: no per-pair y column on either route.
+    assert not any(name.startswith("y[") for name in sparse_form.var_names)
     assert sparse_form.maximize == model_form.maximize
     np.testing.assert_array_equal(sparse_form.c, model_form.c)
     np.testing.assert_array_equal(sparse_form.b_ub, model_form.b_ub)

@@ -10,6 +10,7 @@ racing readers all degrade to cache misses, never to wrong answers.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -428,6 +429,44 @@ class TestSweepIntegration:
         )
         assert store_summary(first)["misses"] == 1
         assert store_summary(second)["misses"] == 1  # distinct solve keys
+
+    def test_records_of_another_pprime_form_miss(self, tmp_path, small_context):
+        """An exact record keyed without the P′ form tag is never replayed.
+
+        Stores written before the y-free P′ keyed exact solves on
+        ``(time_limit, compile)`` only; another form may return another
+        optimal point, so such a record must miss and be re-solved.
+        """
+        scenarios = (FailureScenario(frozenset({3})),)
+        fresh = parallel_sweep(
+            small_context, scenarios, ("optimal",),
+            max_workers=1, optimal_time_limit_s=30.0,
+            store=SolveStore(tmp_path / "fresh"),
+        )
+        fp = instance_fingerprint(small_context.instance(scenarios[0]))
+        key = solve_key(fp, "optimal", 30.0, "sparse")
+        payload = SolveStore(tmp_path / "fresh").get(key)
+        assert payload is not None
+        old_params = hashlib.sha256(repr((30.0, "sparse")).encode()).hexdigest()[:12]
+        old_key = f"{fp}:optimal:{old_params}"
+        assert old_key != key
+        for name, record_key in (("old", old_key), ("current", key)):
+            assert SolveStore(tmp_path / name).put(record_key, payload)
+        stale = parallel_sweep(
+            small_context, scenarios, ("optimal",),
+            max_workers=1, optimal_time_limit_s=30.0,
+            store=SolveStore(tmp_path / "old"),
+        )
+        assert store_summary(stale)["hits"] == 0
+        assert store_summary(stale)["misses"] == 1
+        assert_sweeps_identical(fresh, stale)
+        # Control: the same payload under the current key is served.
+        current = parallel_sweep(
+            small_context, scenarios, ("optimal",),
+            max_workers=1, optimal_time_limit_s=30.0,
+            store=SolveStore(tmp_path / "current"),
+        )
+        assert store_summary(current)["hits"] == 1
 
     @settings(
         max_examples=4, deadline=None,
