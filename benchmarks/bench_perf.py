@@ -59,7 +59,10 @@ keeps ``BENCH_headline.json`` fresh and well-formed.  Timed stages:
 * ``evaluate_batch_s`` — batched evaluation of all four heuristics'
   solutions across the same matrix,
 * ``figures_sweep_s`` — ``fig6_data`` (20 three-failure cases,
-  heuristics only) through the parallel-sweep figures knob.
+  heuristics only) through the parallel-sweep figures knob,
+* ``ground_s`` — grounding every 1/2/3-failure scenario of the n=60
+  Waxman WAN from its coefficient table with the instance cache cleared
+  (median of five passes; the context's grounding index persists).
 """
 
 from __future__ import annotations
@@ -225,6 +228,42 @@ def test_figures_parallel_sweep(context, capsys):
         print()
         print("=== fig6_data via parallel sweep (20 cases x 4 heuristics) ===")
         print(render_table(("stage", "wall (s)"), [("figures_sweep_s", f"{elapsed:.3f}")]))
+
+
+def test_grounding_n60(capsys):
+    """Grounding all 63 failure scenarios of the n=60 Waxman WAN."""
+    import statistics
+
+    from bench_scalability import _context_for
+    from repro.control.failures import enumerate_failure_scenarios
+
+    context = _context_for(60)
+    context.materialize_table()
+    scenarios = [
+        scenario
+        for n in (1, 2, 3)
+        for scenario in enumerate_failure_scenarios(context.plane, n)
+    ]
+    passes = []
+    for _ in range(5):
+        context._instances.clear()
+        start = time.perf_counter()
+        for scenario in scenarios:
+            context.instance(scenario)
+        passes.append(time.perf_counter() - start)
+    ground_s = statistics.median(passes)
+    record_stage("ground_s", ground_s)
+    assert len(context._instances) == len(scenarios)
+    with capsys.disabled():
+        print()
+        print(f"=== Grounding on n=60 Waxman ({len(scenarios)} scenarios) ===")
+        print(
+            render_table(
+                ("stage", "median pass (ms)", "per scenario (ms)"),
+                [("ground_s", f"{1000 * ground_s:.2f}",
+                  f"{1000 * ground_s / len(scenarios):.3f}")],
+            )
+        )
 
 
 def _best_of(n, thunk):

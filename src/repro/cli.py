@@ -128,8 +128,8 @@ def _store(args: argparse.Namespace):
 def _cmd_info(args: argparse.Namespace) -> int:
     context = _context(args)
     topo = context.topology
-    loads = context.plane.domain_loads(context.flows)
-    spare = context.plane.spare_capacity(context.flows)
+    index = context.grounding_index()
+    loads, spare = index.loads, index.spare
     print(f"topology: {topo.name} ({topo.n_nodes} nodes, {topo.n_directed_links} directed links)")
     print(f"flows: {len(context.flows)} (all ordered pairs, hop-count shortest paths)")
     print(f"controllers: {list(context.plane.controller_ids)} at capacity {args.capacity}")

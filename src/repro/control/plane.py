@@ -126,9 +126,12 @@ class ControlPlane:
         included), so a controller's load is the sum of its switches'
         ``gamma`` values — the Table III quantities.
         """
-        gamma = switch_flow_counts(flows)
+        return self.loads_from_gamma(switch_flow_counts(flows))
+
+    def loads_from_gamma(self, gamma: Mapping[NodeId, int]) -> dict[ControllerId, int]:
+        """Baseline load per controller from per-switch flow counts ``gamma``."""
         return {
-            controller_id: sum(gamma[s] for s in members)
+            controller_id: sum(gamma.get(s, 0) for s in members)
             for controller_id, members in self._domains.items()
         }
 
@@ -141,7 +144,12 @@ class ControlPlane:
         exceeds its capacity raises :class:`CapacityError` (the network
         was mis-provisioned); otherwise the spare clamps at zero.
         """
-        loads = self.domain_loads(flows)
+        return self.spare_from_loads(self.domain_loads(flows), strict)
+
+    def spare_from_loads(
+        self, loads: Mapping[ControllerId, int], strict: bool = True
+    ) -> dict[ControllerId, int]:
+        """:meth:`spare_capacity` from already computed baseline ``loads``."""
         spare: dict[ControllerId, int] = {}
         for controller_id, load in loads.items():
             cap = self._controllers[controller_id].capacity

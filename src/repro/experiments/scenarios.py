@@ -22,7 +22,7 @@ from repro.control.plane import ControlPlane
 from repro.flows.demands import all_pairs_flows
 from repro.flows.flow import Flow
 from repro.geo.coordinates import GeoPoint
-from repro.fmssm.build import build_instance
+from repro.fmssm.build import GroundingIndex, build_instance
 from repro.fmssm.instance import FMSSMInstance
 from repro.perf.coefficients import CoefficientTable
 from repro.routing.path_count import make_counter
@@ -55,6 +55,14 @@ class ExperimentContext:
     )
     #: Materialized coefficient table, built on demand by sweeps.
     _table: CoefficientTable | None = field(default=None, repr=False)
+    #: Failure-independent grounding data, built on the first grounding.
+    _grounding: GroundingIndex | None = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        """Drop the grounding index when pickling (rebuilt on demand)."""
+        state = self.__dict__.copy()
+        state["_grounding"] = None
+        return state
 
     def instance(self, scenario: FailureScenario) -> FMSSMInstance:
         """Build (and cache) the FMSSM instance for a failure scenario.
@@ -71,8 +79,19 @@ class ExperimentContext:
                 self._table if self._table is not None else self.programmability,
                 scenario,
                 delay_model=self.delay_model,
+                index=self.grounding_index(),
             )
         return self._instances[key]
+
+    def grounding_index(self) -> GroundingIndex:
+        """Build (once) and return the flow population's grounding index.
+
+        Every grounding, Table III and the CLI's load report read
+        ``gamma``, the domain loads and the spare capacities from here.
+        """
+        if self._grounding is None:
+            self._grounding = GroundingIndex(self.plane, self.flows)
+        return self._grounding
 
     def materialize_table(self) -> CoefficientTable:
         """Build (once) and return the shared coefficient table.

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.experiments.scenarios import ExperimentContext
-from repro.flows.paths import switch_flow_counts
 
 __all__ = ["PAPER_TABLE3_FLOWS", "table3_data"]
 
@@ -31,8 +30,11 @@ def table3_data(context: ExperimentContext) -> dict[str, Any]:
 
     Returns per-switch measured gamma alongside the paper's value (when
     the switch id exists in the paper's table) plus aggregate totals.
+    ``gamma`` and the domain loads come from the context's grounding
+    index, the same numbers every grounded instance reads.
     """
-    gamma = switch_flow_counts(context.flows)
+    index = context.grounding_index()
+    gamma = index.gamma
     rows = []
     for controller_id in context.plane.controller_ids:
         for switch in context.plane.domain(controller_id):
@@ -47,7 +49,7 @@ def table3_data(context: ExperimentContext) -> dict[str, Any]:
             )
     measured_total = sum(r["flows"] for r in rows)
     paper_total = sum(v for v in PAPER_TABLE3_FLOWS.values())
-    domain_loads = context.plane.domain_loads(context.flows)
+    domain_loads = index.loads
     capacities = {
         c: context.plane.controller(c).capacity for c in context.plane.controller_ids
     }

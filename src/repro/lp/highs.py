@@ -40,12 +40,14 @@ _MILP_NUMERICAL = 4
 def solve_form_with_highs(
     form: StandardForm,
     time_limit_s: float | None = None,
-    mip_rel_gap: float = 0.0,
+    mip_rel_gap: float | None = None,
 ) -> SolveResult:
     """Solve a compiled :class:`StandardForm` with HiGHS.
 
     The name-keyed ``values`` dict is only populated when the form
     carries variable names; form-level callers read ``result.x``.
+    ``mip_rel_gap=None`` keeps HiGHS's default relative gap; any other
+    value, ``0.0`` included, is passed through.
     """
     chaos.check("highs.solve")
     constraints = []
@@ -68,7 +70,7 @@ def solve_form_with_highs(
     options: dict[str, float] = {}
     if time_limit_s is not None:
         options["time_limit"] = float(time_limit_s)
-    if mip_rel_gap:
+    if mip_rel_gap is not None:
         options["mip_rel_gap"] = float(mip_rel_gap)
 
     start = time.perf_counter()
@@ -185,7 +187,7 @@ def solve_form_relaxation(
 def solve_with_highs(
     model: Model,
     time_limit_s: float | None = None,
-    mip_rel_gap: float = 0.0,
+    mip_rel_gap: float | None = None,
 ) -> SolveResult:
     """Solve ``model`` with HiGHS via :func:`scipy.optimize.milp`.
 
@@ -198,7 +200,8 @@ def solve_with_highs(
         status is :attr:`SolveStatus.FEASIBLE`; without one,
         :attr:`SolveStatus.TIMEOUT`.
     mip_rel_gap:
-        Relative optimality gap at which HiGHS may stop early.
+        Relative optimality gap at which HiGHS may stop early; ``None``
+        keeps HiGHS's default.
     """
     return solve_form_with_highs(
         to_standard_form(model), time_limit_s=time_limit_s, mip_rel_gap=mip_rel_gap

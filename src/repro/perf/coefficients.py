@@ -19,7 +19,7 @@ The table is a plain-dict value object: picklable, so a parallel sweep
 ships it to worker processes once, and immutable by convention — it never
 touches the counter again after construction.  It is a drop-in source of
 coefficients for :func:`repro.fmssm.build.build_instance`, which only
-needs ``pbar(flow, switch)``.
+needs ``pbar_pairs(flow)``.
 """
 
 from __future__ import annotations
@@ -70,6 +70,15 @@ class CoefficientTable:
         #: Per-switch cache of the Flow tuples ``flows_programmable_at``
         #: hands out — PM-style loops ask for the same switch repeatedly.
         self._fpa_cache: dict[NodeId, tuple[Flow, ...]] = {}
+        #: Per-flow cache of :meth:`pbar_pairs` — every grounding reads it.
+        self._pairs_cache: dict[FlowId, tuple[tuple[NodeId, int], ...]] = {}
+
+    def __getstate__(self) -> dict:
+        """Drop the lazy caches when pickling (rebuilt on demand)."""
+        state = self.__dict__.copy()
+        state["_fpa_cache"] = {}
+        state["_pairs_cache"] = {}
+        return state
 
     # ------------------------------------------------------------------
     # Construction
@@ -144,6 +153,24 @@ class CoefficientTable:
     def pbar(self, flow: Flow | FlowId, switch: NodeId) -> int:
         """``p̄_i^l = beta_i^l * p_i^l``."""
         return self._pbar.get((switch, _flow_id(flow)), 0)
+
+    def pbar_pairs(self, flow: Flow | FlowId) -> tuple[tuple[NodeId, int], ...]:
+        """``(switch, p̄)`` at the flow's programmable switches, in path order.
+
+        Built once per flow and cached.
+        """
+        fid = _flow_id(flow)
+        cached = self._pairs_cache.get(fid)
+        if cached is None:
+            resolved = flow if isinstance(flow, Flow) else self.flow(fid)
+            pbar = self._pbar
+            cached = tuple(
+                (s, pbar[(s, fid)])
+                for s in resolved.transit_switches
+                if (s, fid) in pbar
+            )
+            self._pairs_cache[fid] = cached
+        return cached
 
     # ------------------------------------------------------------------
     # Aggregates

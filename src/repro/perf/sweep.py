@@ -823,8 +823,10 @@ class _SweepRunner:
         Incremental sweeps submit one chain segment per worker.
         LP-batched and heuristic-only sweeps submit one contiguous
         scenario-major chunk per worker, so each worker grounds (and
-        stacks) only its own slice.  Other heavy sweeps submit one task
-        at a time for dynamic load balancing.
+        stacks) only its own slice.  Other heavy sweeps submit one
+        scenario (all its pending tasks) at a time for dynamic load
+        balancing: the scenario is grounded once, on one worker, and
+        its solutions share one evaluation batch.
         """
         if self.incremental:
             return [
@@ -835,7 +837,12 @@ class _SweepRunner:
         if self._batched():
             rows = _batched_rows
         elif any(a in _HEAVY_ALGORITHMS for a in self.algorithms):
-            return [(_chunk_rows, [task], (task,)) for task in tasks]
+            by_scenario: dict[int, list[tuple[int, str]]] = {}
+            for task in tasks:
+                by_scenario.setdefault(task[0], []).append(task)
+            return [
+                (_chunk_rows, group, tuple(group)) for group in by_scenario.values()
+            ]
         else:
             rows = _chunk_rows
         size = -(-len(tasks) // workers)

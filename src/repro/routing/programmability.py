@@ -43,7 +43,7 @@ class ProgrammabilityModel:
             if flow.flow_id in self._flows:
                 raise FlowError(f"duplicate flow id {flow.flow_id!r}")
             self._flows[flow.flow_id] = flow
-        self._max_pro: dict[FlowId, int] = {}
+        self._pairs: dict[FlowId, tuple[tuple[NodeId, int], ...]] = {}
         self._table: CoefficientTable | None = None
 
     @property
@@ -84,6 +84,22 @@ class ProgrammabilityModel:
         p = self.p(flow, switch)
         return p if p >= 2 else 0
 
+    def pbar_pairs(self, flow: Flow) -> tuple[tuple[NodeId, int], ...]:
+        """``(switch, p̄)`` at the flow's programmable switches, in path order.
+
+        Cached per flow: grounding reads it for every offline flow of
+        every scenario.
+        """
+        cached = self._pairs.get(flow.flow_id)
+        if cached is None:
+            cached = tuple(
+                (s, value)
+                for s in flow.transit_switches
+                if (value := self.pbar(flow, s))
+            )
+            self._pairs[flow.flow_id] = cached
+        return cached
+
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
@@ -94,14 +110,10 @@ class ProgrammabilityModel:
     def max_programmability(self, flow: Flow) -> int:
         """Upper bound on ``pro^l``: every programmable switch in SDN mode.
 
-        Cached per flow — ``default_lambda`` and the evaluators query it
-        repeatedly with identical arguments.
+        Summed from the cached :meth:`pbar_pairs` — ``default_lambda``
+        and the evaluators query it repeatedly with identical arguments.
         """
-        cached = self._max_pro.get(flow.flow_id)
-        if cached is None:
-            cached = sum(self.pbar(flow, s) for s in flow.transit_switches)
-            self._max_pro[flow.flow_id] = cached
-        return cached
+        return sum(value for _, value in self.pbar_pairs(flow))
 
     def flows_programmable_at(self, switch: NodeId) -> tuple[Flow, ...]:
         """Flows with ``beta == 1`` at ``switch`` (the paper's line-7 set).

@@ -148,3 +148,42 @@ class TestResultSemantics:
     def test_repr(self):
         m, _ = knapsack_model()
         assert "optimal" in repr(solve(m))
+
+
+class TestHighsOptions:
+    """What :func:`scipy.optimize.milp` receives as ``options``."""
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        from scipy import optimize
+
+        from repro.lp import highs
+
+        seen: list = []
+        real = optimize.milp
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("options"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(highs.optimize, "milp", spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        "kwargs, options",
+        [
+            ({}, None),
+            ({"mip_rel_gap": None}, None),
+            ({"mip_rel_gap": 0.0}, {"mip_rel_gap": 0.0}),
+            ({"mip_rel_gap": 0.01}, {"mip_rel_gap": 0.01}),
+            ({"time_limit_s": 5, "mip_rel_gap": 0.0},
+             {"time_limit": 5.0, "mip_rel_gap": 0.0}),
+        ],
+    )
+    def test_mip_rel_gap_forwarded(self, captured, kwargs, options):
+        from repro.lp.highs import solve_with_highs
+
+        m, best = knapsack_model()
+        result = solve_with_highs(m, **kwargs)
+        assert result.objective == pytest.approx(best)
+        assert captured == [options]
